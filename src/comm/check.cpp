@@ -112,37 +112,20 @@ std::optional<std::string> fingerprint_mismatch(const OpFingerprint& a,
 
 std::optional<std::string> validate_fingerprints(
     const std::string& group_desc, const std::vector<int>& members,
-    const std::vector<OpFingerprint>& fps, const std::vector<bool>& present) {
+    const std::vector<OpFingerprint>& fps) {
   const std::size_t p = members.size();
-  // Reference = the lowest group rank that published a fingerprint.
-  std::size_t ref = p;
-  bool mixed = false;
-  for (std::size_t r = 0; r < p; ++r) {
-    if (present[r] && ref == p) ref = r;
-    if (present[r] != present[0]) mixed = true;
-  }
-  if (ref == p) return std::nullopt;  // pure data-phase sync: nothing to do
-
   std::optional<std::string> why;
-  if (mixed) {
-    why = std::string("collective phase");
-  } else {
-    for (std::size_t r = ref + 1; r < p && !why; ++r) {
-      why = fingerprint_mismatch(fps[ref], fps[r]);
-    }
+  for (std::size_t r = 1; r < p && !why; ++r) {
+    why = fingerprint_mismatch(fps[0], fps[r]);
   }
   if (!why) return std::nullopt;
 
   std::ostringstream os;
-  os << "collective mismatch on " << group_desc << " at seq " << fps[ref].seq
+  os << "collective mismatch on " << group_desc << " at seq " << fps[0].seq
      << ": member ranks diverged on " << *why << "; per-rank operations:";
   for (std::size_t r = 0; r < p; ++r) {
-    os << "\n  group rank " << r << " (world rank " << members[r] << "): ";
-    if (present[r]) {
-      os << fps[r].describe();
-    } else {
-      os << "in the data phase of the previous collective";
-    }
+    os << "\n  group rank " << r << " (world rank " << members[r]
+       << "): " << fps[r].describe();
   }
   return os.str();
 }

@@ -23,8 +23,8 @@
 /// operation in the same order with compatible arguments") is enforced at
 /// runtime: each collective computes an OpFingerprint — operation kind,
 /// payload numel/shape/dtype, root, reduce op, per-group sequence number,
-/// and the caller's source location — and the staging sync point
-/// cross-validates the fingerprints of all member ranks before any data
+/// and the caller's source location — and the last member to issue the
+/// op cross-validates the fingerprints of all member ranks before any data
 /// moves. A divergence aborts the run with a diagnostic naming the group,
 /// the sequence number, and every rank's operation + call site.
 ///
@@ -84,11 +84,11 @@ struct Site {
 #define ORBIT_COMM_SITE \
   (::orbit::comm::check::Site{__FILE__, __LINE__, __func__})
 
-/// What one rank claims it is doing at a staging sync point. Validated
+/// What one rank claims it is doing when it issues a collective. Validated
 /// field-by-field against every other member rank's fingerprint.
 struct OpFingerprint {
   CollOp op = CollOp::kBarrier;
-  std::uint64_t seq = 0;    ///< per-group collective count (filled at sync)
+  std::uint64_t seq = 0;    ///< per-group collective count (the ticket)
   std::int64_t numel = 0;   ///< payload element count (op-specific payload)
   std::vector<std::int64_t> shape;  ///< payload shape
   const char* dtype = "f32";        ///< single dtype today; kept for growth
@@ -108,14 +108,13 @@ struct OpFingerprint {
 std::optional<std::string> fingerprint_mismatch(const OpFingerprint& a,
                                                 const OpFingerprint& b);
 
-/// Validate the fingerprints published by every member of a group at one
-/// sync point. `present[r]` marks ranks that supplied one (a rank in the
-/// data phase of a multi-phase collective supplies none — mixed presence
-/// is itself a desync). Returns a full diagnostic on divergence, listing
-/// each rank's op + call site, or an empty optional when consistent.
+/// Validate the fingerprints published by every member of a group for one
+/// op (`fps[r]` is group rank r's). Returns a full diagnostic on
+/// divergence, listing each rank's op + call site, or an empty optional
+/// when consistent.
 std::optional<std::string> validate_fingerprints(
     const std::string& group_desc, const std::vector<int>& members,
-    const std::vector<OpFingerprint>& fps, const std::vector<bool>& present);
+    const std::vector<OpFingerprint>& fps);
 
 /// Base class of every checker-raised failure.
 class CommCheckError : public std::runtime_error {

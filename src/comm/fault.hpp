@@ -16,7 +16,7 @@
 /// **One-shot plans** (`FaultPlan`) name one victim rank and one trigger —
 /// a 0-based training step (fired by the trainer mid-step via
 /// `on_train_step`), a 0-based per-rank collective index (fired inside the
-/// comm layer's staging sync via `on_collective`, i.e. genuinely mid-
+/// comm layer's collective issue via `on_collective`, i.e. genuinely mid-
 /// collective), or a checkpoint save of a given step (fired inside
 /// `save_sharded_checkpoint` via `on_checkpoint_save`, i.e. mid-save with
 /// some peers' files already written). The first firing disarms the plan,
@@ -142,7 +142,7 @@ void reseed_from_env();
 /// schedule (consuming that step's firing) matches.
 void on_train_step(int rank, std::int64_t step);
 
-/// Comm hook, called by every collective's staging entry: `rank` is
+/// Comm hook, called by every collective's issue: `rank` is
 /// issuing its next collective. Throws RankKilledError (and disarms) when
 /// the armed plan's `at_collective` matches this rank's running count.
 void on_collective(int rank);

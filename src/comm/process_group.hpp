@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -22,12 +23,19 @@
 /// between rank heaps through shared staging pointers, so the distributed
 /// engines are verified by actual data movement, not by analogy.
 ///
+/// There is one collective engine: every op is an *issue* (take the
+/// group's next ticket, publish fingerprint and staging pointer) and a
+/// *completion* (wait for every member's issue, move the data, wait for
+/// every member to finish reading). A blocking collective issues and
+/// completes before returning; its `*_async` twin returns a `CommHandle`
+/// in between. Both forms share the ticket sequence, so they may be mixed.
+///
 /// The contract is *enforced*, not just documented: every collective
 /// publishes an `check::OpFingerprint` (op kind, payload numel/shape/dtype,
-/// root, reduce op, per-group sequence number, caller site) that the
-/// staging sync point cross-validates across member ranks before data
-/// moves; a divergence raises `check::CollectiveMismatchError` naming each
-/// rank's operation and call site. A watchdog detects ranks stuck past a
+/// root, reduce op, per-group sequence number, caller site) that the last
+/// member to issue the op cross-validates before any data moves; a
+/// divergence raises `check::CollectiveMismatchError` naming each rank's
+/// operation and call site. A watchdog detects ranks stuck past a
 /// timeout and peers of a rank that exited mid-collective (see check.hpp).
 /// Each collective takes a trailing `site` parameter defaulted to the
 /// caller's source location — never pass it explicitly unless forwarding
@@ -43,8 +51,9 @@ struct GroupState;  // shared-state implementation detail (world.cpp)
 namespace async {
 
 /// `ORBIT_COMM_ASYNC` knob (strict parse via orbit::env, read once on first
-/// use). Default off: engines take the synchronous baseline path and the
-/// `*_async` machinery is exercised only where tests or benches opt in.
+/// use). It only decides where the training engines wait. Default off:
+/// engines wait at each call (the blocking baseline schedule); on, they
+/// issue `*_async` collectives and drain them later.
 /// `set_enabled` overrides the environment for the rest of the process.
 bool enabled();
 void set_enabled(bool on);
@@ -96,7 +105,7 @@ class CommHandle {
   bool pending() const;
   /// Complete the op: rendezvous with every member's issue, move the data,
   /// and synchronize completion. Throws the same typed errors as the
-  /// synchronous collectives (CollectiveMismatchError / CommDesyncError /
+  /// blocking collectives (CollectiveMismatchError / CommDesyncError /
   /// sticky group poison).
   void wait();
 
@@ -165,11 +174,12 @@ class ProcessGroup {
                check::Site site = check::Site::current()) const;
 
   // --- nonblocking issue + explicit completion -----------------------------
-  // Each `*_async` variant has the argument contract of its synchronous
-  // twin, validates the same preconditions at issue time, and produces a
-  // bitwise-identical result once `wait()` returns. p2p stays sync-only:
-  // `send` is already nonblocking (mailbox post) and `recv` is a completion
-  // by definition.
+  // Each `*_async` variant has the argument contract of its blocking twin,
+  // validates the same preconditions at issue time, and produces a
+  // bitwise-identical result once `wait()` returns (the blocking form is
+  // the same issue followed at once by the same completion). p2p has no
+  // async form: `send` is already nonblocking (mailbox post) and `recv` is
+  // a completion by definition.
 
   /// Nonblocking barrier: `wait()` returns once every member issued it.
   CommHandle barrier_async(check::Site site = check::Site::current()) const;
@@ -235,15 +245,28 @@ class ProcessGroup {
   const char* axis() const;
 
  private:
-  /// Shared nonblocking-issue path: fingerprint + staging-pointer publish
-  /// into the group's in-flight table (world.cpp).
+  // The one collective engine (world.cpp). A blocking collective is
+  // `run_op`: issue, then complete before returning. An `*_async` one is
+  // `issue_async_op`: issue, then hand the op back as a CommHandle.
+  // `out` is null for a barrier; all_reduce and broadcast pass `&in`.
+  void run_op(check::CollOp kind, const Tensor* fp_payload, const Tensor& in,
+              Tensor* out, int root, int reduce_op, check::Site site) const;
   CommHandle issue_async_op(check::CollOp kind, const Tensor* fp_payload,
-                            const Tensor& in, const Tensor& out, int root,
+                            const Tensor& in, Tensor* out, int root,
                             int reduce_op, check::Site site) const;
+  /// Validates one call's arguments (the single place both forms check
+  /// them) and builds this rank's side of the op; throws before any group
+  /// state changes.
+  void prepare_op(CommHandle::Impl& op, check::CollOp kind, bool async,
+                  const Tensor* fp_payload, const Tensor& in, Tensor* out,
+                  int root, int reduce_op, check::Site site) const;
+  /// Registers the prepared op under the group's next ticket and returns
+  /// with the group lock still held, so the blocking form can go straight
+  /// on to its completion.
+  std::unique_lock<std::mutex> issue_op(CommHandle::Impl& op,
+                                        const Tensor& in) const;
   /// Throws std::logic_error when this handle is invalid (non-member).
   void require_valid(const char* what) const;
-  /// root must be a group rank in [0, size()).
-  void require_root(const char* what, int root) const;
 
   std::shared_ptr<GroupState> state_;
   int group_rank_ = -1;

@@ -57,28 +57,34 @@ std::uint64_t traffic_bytes(int group_size, std::int64_t per_rank_payload) {
          static_cast<std::uint64_t>(per_rank_payload) * sizeof(float);
 }
 
-/// Wait-span names for CommHandle::wait, per op kind. String literals have
-/// static storage duration, satisfying the tracer's static-name contract.
-const char* wait_span_name(check::CollOp op) {
-  switch (op) {
-    case check::CollOp::kBarrier:
-      return "comm.barrier.wait";
-    case check::CollOp::kAllReduce:
-      return "comm.all_reduce.wait";
-    case check::CollOp::kAllGather:
-      return "comm.all_gather.wait";
-    case check::CollOp::kReduceScatter:
-      return "comm.reduce_scatter.wait";
-    case check::CollOp::kBroadcast:
-      return "comm.broadcast.wait";
-    case check::CollOp::kGather:
-      return "comm.gather.wait";
-    case check::CollOp::kScatter:
-      return "comm.scatter.wait";
-    default:
-      return "comm.async.wait";
-  }
+/// Trace span names per op kind: the blocking call, the async issue, and
+/// the async wait. String literals have static storage duration, satisfying
+/// the tracer's static-name contract. Indexed by `CollOp` (collectives only).
+constexpr const char* kSpanNames[][3] = {
+    {"comm.barrier", "comm.barrier.issue", "comm.barrier.wait"},
+    {"comm.all_reduce", "comm.all_reduce.issue", "comm.all_reduce.wait"},
+    {"comm.all_gather", "comm.all_gather.issue", "comm.all_gather.wait"},
+    {"comm.reduce_scatter", "comm.reduce_scatter.issue",
+     "comm.reduce_scatter.wait"},
+    {"comm.broadcast", "comm.broadcast.issue", "comm.broadcast.wait"},
+    {"comm.gather", "comm.gather.issue", "comm.gather.wait"},
+    {"comm.scatter", "comm.scatter.issue", "comm.scatter.wait"},
+};
+enum SpanForm { kBlockingSpan = 0, kIssueSpan = 1, kWaitSpan = 2 };
+
+const char* span_name(check::CollOp op, SpanForm form) {
+  return kSpanNames[static_cast<int>(op)][form];
 }
+
+/// Clears a rank's wait-graph entry when a blocking wait ends, however it
+/// ends. `wc == nullptr` means nothing was published.
+struct BlockedGuard {
+  check::WorldCheck* wc = nullptr;
+  int rank = -1;
+  ~BlockedGuard() {
+    if (wc != nullptr) wc->clear_blocked(rank);
+  }
+};
 
 }  // namespace
 
@@ -115,19 +121,27 @@ ScopedAsync::~ScopedAsync() { set_enabled(old_); }
 
 }  // namespace async
 
-/// One in-flight asynchronous collective on a group, keyed by its issue
-/// ticket (the per-rank async issue count — every member must issue the
-/// same sequence, which is exactly what `comm::check` validates when the
-/// last member's issue arrives). The entry owns a keepalive copy of every
-/// rank's input tensor, so published staging pointers stay valid until all
-/// members completed (or abandoned) the op, even if a handle's owner is
-/// unwinding.
-struct AsyncOpState {
-  explicit AsyncOpState(std::size_t p)
+/// One collective on a group, keyed by its ticket: the per-rank issue count.
+/// Every member must issue the same sequence, so ticket k on every rank
+/// names the same logical op, which is exactly what `comm::check` validates
+/// when the last member's issue arrives. The entry owns a keepalive copy of
+/// every rank's input tensor, so published staging pointers stay valid until
+/// all members completed (or abandoned) the op, even if a caller unwinds.
+/// A recycled entry keeps those copies until its next issue overwrites them
+/// (reusing their buffers), so it pins at most one op's inputs.
+struct OpState {
+  explicit OpState(std::size_t p)
       : fps(p), issued(p, false), done_flag(p, false), srcs(p, nullptr),
         inputs(p) {}
 
-  std::uint64_t ticket = 0;
+  /// Ready the entry for reuse.
+  void reset() {
+    std::fill(issued.begin(), issued.end(), false);
+    std::fill(done_flag.begin(), done_flag.end(), false);
+    std::fill(srcs.begin(), srcs.end(), nullptr);
+    issued_count = done_count = released = 0;
+  }
+
   std::vector<OpFingerprint> fps;   ///< per-rank fingerprints, issue order
   std::vector<bool> issued;         ///< rank published fp + staging pointer
   std::vector<bool> done_flag;      ///< rank finished (or abandoned) reads
@@ -135,15 +149,17 @@ struct AsyncOpState {
   std::vector<Tensor> inputs;       ///< keepalive for the srcs storage
   int issued_count = 0;
   int done_count = 0;
+  int released = 0;  ///< members that no longer reference this entry
 };
 
 /// Shared state of one communicator group. One instance per group, shared by
 /// all member ranks; per-rank `ProcessGroup` handles point here.
 ///
-/// The staging sync point is a generation-counted barrier over a mutex and
-/// condition variable (rather than std::barrier) so that it can
+/// Every collective, blocking or not, is one entry of a ticket-keyed op
+/// table over a mutex and condition variable (rather than std::barrier), so
+/// that the group can
 ///  * cross-validate the member ranks' operation fingerprints before any
-///    data moves (the last arriver validates and releases),
+///    data moves (the last member to issue a ticket validates it),
 ///  * fail every waiter with a diagnostic instead of hanging when a member
 ///    rank exits or throws mid-collective, and
 ///  * surface the watchdog's deadlock verdict to blocked ranks.
@@ -152,42 +168,28 @@ struct GroupState {
       : members(std::move(member_ranks)),
         desc(group_desc_of(members)),
         wc(world_check),
-        src(members.size(), nullptr),
-        arrived_flag(members.size(), false),
-        has_fp(members.size(), false),
-        fps(members.size()),
-        seq_counts(members.size(), 0),
-        async_tickets(members.size(), 0) {}
+        tickets(members.size(), 0) {}
 
   std::vector<int> members;       ///< global ranks, group-rank order
   std::string desc;               ///< "group {0,1,3}" for diagnostics
   check::WorldCheck* wc;          ///< world rank-state registry (non-owning)
-  std::vector<const float*> src;  ///< published per-rank source pointers
 
-  // --- staging sync point -------------------------------------------------
+  // --- op table (guarded by sync_mu, waiters woken via sync_cv) -----------
+  // Validation happens in issue order: the last member to issue ticket k
+  // cross-validates all p fingerprints. A blocking collective takes the
+  // next ticket like any `*_async` issue, so both forms share one sequence
+  // and may be mixed freely as long as every rank issues the same order.
   std::mutex sync_mu;
   std::condition_variable sync_cv;
-  std::uint64_t generation = 0;       ///< completed sync count
-  int arrived = 0;                    ///< arrivals in the current generation
-  std::vector<bool> arrived_flag;     ///< per group rank, current generation
-  std::vector<bool> has_fp;           ///< fingerprint published this gen
-  std::vector<OpFingerprint> fps;     ///< per-rank fingerprints
-  std::vector<std::uint64_t> seq_counts;  ///< collectives issued per rank
-  std::string error;                  ///< sticky failure; poisons the group
-  bool error_is_mismatch = false;     ///< mismatch vs desync classification
-
-  // --- in-flight async table (guarded by sync_mu, woken via sync_cv) ------
-  // Tickets are per-rank async issue counts: member ranks must issue the
-  // same async sequence, so ticket k on every rank names the same logical
-  // collective and keys one shared AsyncOpState. Validation happens in
-  // issue order — the last member to issue ticket k cross-validates all p
-  // fingerprints, exactly like the last arriver of a synchronous entry
-  // barrier. The async ticket space is independent of the synchronous
-  // `seq_counts`; mixing sync and async ops on one group is legal whenever
-  // the relative order is globally consistent (SPMD code paths guarantee
-  // this), and an inconsistent mix is caught by the watchdog wait-graph.
-  std::vector<std::uint64_t> async_tickets;
-  std::map<std::uint64_t, std::shared_ptr<AsyncOpState>> inflight;
+  std::string error;               ///< sticky failure; poisons the group
+  bool error_is_mismatch = false;  ///< mismatch vs desync classification
+  std::vector<std::uint64_t> tickets;  ///< collectives issued per rank
+  /// Entries of tickets [inflight_base, inflight_base + inflight.size()).
+  /// Entries retire in ticket order once every member released them, and
+  /// are recycled through `spare`, so steady state allocates no entries.
+  std::deque<std::unique_ptr<OpState>> inflight;
+  std::uint64_t inflight_base = 0;
+  std::vector<std::unique_ptr<OpState>> spare;
 
   std::atomic<std::uint64_t> bytes{0};
   std::atomic<std::uint64_t> ops{0};
@@ -266,123 +268,93 @@ struct GroupState {
     throw check::CommDesyncError(error);
   }
 
-  /// One phase of the staging barrier. `entry == true` is the fingerprint
-  /// phase (before data moves): the fingerprint is stamped with this rank's
-  /// per-group sequence number and cross-validated by the last arriver.
-  /// `entry == false` is the completion phase releasing writers.
-  void sync(int grank, const OpFingerprint& fp, bool entry) {
-    const int p = static_cast<int>(members.size());
-    // Fault-injection point: a collective-triggered kill throws here,
-    // before this rank takes its barrier slot, so the group state stays
-    // clean and peers fail through the peer-exit detection below.
-    if (entry) fault::on_collective(members[static_cast<std::size_t>(grank)]);
-    std::unique_lock<std::mutex> lk(sync_mu);
-    if (!error.empty()) throw_sticky();
-    const bool checking = wc != nullptr && wc->check_enabled();
-    if (entry) {
-      if (checking) {
-        fps[static_cast<std::size_t>(grank)] = fp;
-        fps[static_cast<std::size_t>(grank)].seq =
-            seq_counts[static_cast<std::size_t>(grank)];
-        has_fp[static_cast<std::size_t>(grank)] = true;
+  /// sync_mu held: the entry of `ticket`, created or recycled by its first
+  /// issuer. Tickets below `inflight_base` are retired, which needs every
+  /// member's issue, so an issuing rank never names one.
+  OpState& op_at(std::uint64_t ticket) {
+    while (ticket - inflight_base >= inflight.size()) {
+      if (spare.empty()) {
+        inflight.push_back(std::make_unique<OpState>(members.size()));
+      } else {
+        inflight.push_back(std::move(spare.back()));
+        spare.pop_back();
       }
-      ++seq_counts[static_cast<std::size_t>(grank)];
     }
-    arrived_flag[static_cast<std::size_t>(grank)] = true;
-
-    if (++arrived == p) {
-      // Last arriver: validate, reset, release.
-      std::optional<std::string> err;
-      if (checking) {
-        err = check::validate_fingerprints(desc, members, fps, has_fp);
-      }
-      arrived = 0;
-      std::fill(arrived_flag.begin(), arrived_flag.end(), false);
-      std::fill(has_fp.begin(), has_fp.end(), false);
-      ++generation;
-      if (err) {
-        error = *err;
-        error_is_mismatch = true;
-      }
-      lk.unlock();
-      sync_cv.notify_all();
-      if (err) throw check::CollectiveMismatchError(*err);
-      return;
-    }
-
-    const std::uint64_t my_gen = generation;
-    const int world_rank = members[static_cast<std::size_t>(grank)];
-    if (checking) {
-      wc->set_blocked(world_rank, fp.describe() +
-                                      (entry ? "" : " [completion phase]") +
-                                      " on " + desc);
-    }
-    struct BlockedGuard {
-      check::WorldCheck* wc;
-      int rank;
-      ~BlockedGuard() {
-        if (wc != nullptr) wc->clear_blocked(rank);
-      }
-    } guard{checking ? wc : nullptr, world_rank};
-
-    while (generation == my_gen) {
-      if (!error.empty()) throw_sticky();
-      if (wc != nullptr) {
-        if (wc->failed()) throw check::CommDesyncError(wc->failure());
-        // Peer-exit detection (always on): a member that exited before
-        // reaching this sync point can never arrive — fail everyone now
-        // instead of hanging until the watchdog (or forever).
-        for (int r = 0; r < p; ++r) {
-          if (r == grank || arrived_flag[static_cast<std::size_t>(r)] ||
-              !wc->exited(members[static_cast<std::size_t>(r)])) {
-            continue;
-          }
-          std::ostringstream os;
-          os << "desync on " << desc << ": world rank "
-             << members[static_cast<std::size_t>(r)] << " (group rank " << r
-             << ") exited or threw without reaching " << fp.describe()
-             << (entry ? "" : " [completion phase]")
-             << ", which its peers are blocked in";
-          error = os.str();
-          error_is_mismatch = false;
-          lk.unlock();
-          sync_cv.notify_all();
-          throw check::CommDesyncError(os.str());
-        }
-      }
-      sync_cv.wait_for(lk, kWaitPoll);
-    }
-    if (!error.empty()) throw_sticky();
+    return *inflight[static_cast<std::size_t>(ticket - inflight_base)];
   }
 
-  /// One poll step of an async waiter (sync_mu held via `lk`): surfaces the
-  /// sticky group poison, the watchdog verdict, and peer-exit — a member
-  /// that exited without reaching this op's `phase` (its `arrived_here`
-  /// slot still false) can never arrive, so every waiter fails now with the
-  /// same diagnostic shape as the synchronous barrier's detection.
-  void async_poll_checks(std::unique_lock<std::mutex>& lk, int grank,
-                         const std::vector<bool>& arrived_here,
-                         const OpFingerprint& fp, const char* phase) {
-    if (!error.empty()) throw_sticky();
-    if (wc == nullptr) return;
-    if (wc->failed()) throw check::CommDesyncError(wc->failure());
-    const int p = static_cast<int>(members.size());
-    for (int r = 0; r < p; ++r) {
-      if (r == grank || arrived_here[static_cast<std::size_t>(r)] ||
-          !wc->exited(members[static_cast<std::size_t>(r)])) {
-        continue;
-      }
-      std::ostringstream os;
-      os << "desync on " << desc << ": world rank "
-         << members[static_cast<std::size_t>(r)] << " (group rank " << r
-         << ") exited or threw without reaching " << fp.describe() << ' '
-         << phase << ", which its peers are blocked in";
-      error = os.str();
-      error_is_mismatch = false;
-      lk.unlock();
-      sync_cv.notify_all();
-      throw check::CommDesyncError(os.str());
+  /// sync_mu held: `grank` finished (or abandoned) its reads of `op`.
+  /// Returns true when it was the last member to do so.
+  static bool mark_done_locked(OpState& op, int grank) {
+    if (!op.done_flag[static_cast<std::size_t>(grank)]) {
+      op.done_flag[static_cast<std::size_t>(grank)] = true;
+      ++op.done_count;
     }
+    return op.done_count == static_cast<int>(op.done_flag.size());
+  }
+
+  /// sync_mu held: one member stops referencing `op`. Once all have, the
+  /// entry retires (with any older retired ones) and is recycled.
+  void release_locked(OpState& op) {
+    ++op.released;
+    const int p = static_cast<int>(members.size());
+    while (!inflight.empty() && inflight.front()->released == p) {
+      inflight.front()->reset();
+      spare.push_back(std::move(inflight.front()));
+      inflight.pop_front();
+      ++inflight_base;
+    }
+  }
+
+  /// sync_mu held via `lk`: block until `count` reaches the group size.
+  /// `arrived[r]` tells whether member r already reached this `phase` of
+  /// the op. Each poll surfaces the sticky group poison, the watchdog
+  /// verdict, and peer exit: a member that exited without arriving can
+  /// never arrive, so every waiter fails now instead of hanging until the
+  /// watchdog (or forever). The wait-graph entry is published only when
+  /// the rank actually blocks.
+  void await(std::unique_lock<std::mutex>& lk, int grank, const int& count,
+             const std::vector<bool>& arrived, const OpFingerprint& fp,
+             const char* phase) {
+    const int p = static_cast<int>(members.size());
+    if (count < p) {
+      const int world_rank = members[static_cast<std::size_t>(grank)];
+      BlockedGuard guard{nullptr, world_rank};
+      if (wc != nullptr && wc->check_enabled()) {
+        // Built outside the group lock: describing the op is slow, and the
+        // peers this rank waits for need the lock to arrive.
+        lk.unlock();
+        wc->set_blocked(world_rank,
+                        fp.describe() + ' ' + phase + " on " + desc);
+        guard.wc = wc;
+        lk.lock();
+      }
+      while (count < p) {
+        if (!error.empty()) throw_sticky();
+        if (wc != nullptr) {
+          if (wc->failed()) throw check::CommDesyncError(wc->failure());
+          for (int r = 0; r < p; ++r) {
+            if (r == grank || arrived[static_cast<std::size_t>(r)] ||
+                !wc->exited(members[static_cast<std::size_t>(r)])) {
+              continue;
+            }
+            std::ostringstream os;
+            os << "desync on " << desc << ": world rank "
+               << members[static_cast<std::size_t>(r)] << " (group rank "
+               << r << ") exited or threw without reaching "
+               << fp.describe() << ' ' << phase
+               << ", which its peers are blocked in";
+            error = os.str();
+            error_is_mismatch = false;
+            lk.unlock();
+            sync_cv.notify_all();
+            throw check::CommDesyncError(os.str());
+          }
+        }
+        sync_cv.wait_for(lk, kWaitPoll);
+      }
+    }
+    if (!error.empty()) throw_sticky();
   }
 };
 
@@ -432,15 +404,6 @@ void ProcessGroup::require_valid(const char* what) const {
   }
 }
 
-void ProcessGroup::require_root(const char* what, int root) const {
-  if (root < 0 || root >= size()) {
-    std::ostringstream os;
-    os << what << ": root " << root << " out of range [0, " << size()
-       << ") on " << describe();
-    throw std::invalid_argument(os.str());
-  }
-}
-
 int ProcessGroup::size() const {
   require_valid("size");
   return static_cast<int>(state_->members.size());
@@ -456,200 +419,80 @@ std::string ProcessGroup::describe() const {
   return state_->desc + " rank " + std::to_string(group_rank_);
 }
 
+// ---------------------------------------------------------------------------
+// Collectives. Each public call is a thin entry into the one engine below:
+// the blocking form issues the op and completes it before returning; the
+// `*_async` form returns the issued op as a CommHandle.
+
 void ProcessGroup::barrier(check::Site site) const {
-  require_valid("barrier");
-  ORBIT_TRACE_SPAN("comm.barrier", trace::Category::kComm,
-                   state_->axis.load(std::memory_order_relaxed));
-  state_->sync(group_rank_, make_fp(CollOp::kBarrier, nullptr, site),
-               /*entry=*/true);
+  run_op(CollOp::kBarrier, nullptr, Tensor(), nullptr, -1, -1, site);
 }
 
 void ProcessGroup::all_reduce(Tensor& t, ReduceOp op, check::Site site) const {
-  require_valid("all_reduce");
-  GroupState& g = *state_;
-  const int p = size();
-  const std::int64_t n = t.numel();
-  const std::uint64_t tb = traffic_bytes(p, n);
-  ORBIT_TRACE_SPAN("comm.all_reduce", trace::Category::kComm,
-                   g.axis.load(std::memory_order_relaxed),
-                   static_cast<std::int64_t>(tb));
-  OpFingerprint fp = make_fp(CollOp::kAllReduce, &t, site);
-  fp.reduce_op = static_cast<int>(op);
-  g.src[static_cast<std::size_t>(group_rank_)] = t.data();
-  g.sync(group_rank_, fp, /*entry=*/true);
-  // Every rank computes the full reduction locally (simulation of the ring's
-  // end state); reads complete before the completion sync releases writers.
-  std::vector<float> acc(g.src[0], g.src[0] + n);
-  for (int r = 1; r < p; ++r) {
-    const float* s = g.src[static_cast<std::size_t>(r)];
-    for (std::int64_t i = 0; i < n; ++i) {
-      acc[static_cast<std::size_t>(i)] =
-          reduce_combine(op, acc[static_cast<std::size_t>(i)], s[i]);
-    }
-  }
-  reduce_finalise(op, acc.data(), n, p);
-  // Recorded before the completion sync so the totals are visible to every
-  // rank the moment its collective returns.
-  if (group_rank_ == 0) g.record(tb);
-  g.sync(group_rank_, fp, /*entry=*/false);
-  std::memcpy(t.data(), acc.data(), static_cast<std::size_t>(n) * sizeof(float));
+  run_op(CollOp::kAllReduce, &t, t, &t, -1, static_cast<int>(op), site);
 }
 
 void ProcessGroup::all_gather(const Tensor& shard, Tensor& out,
                               check::Site site) const {
-  require_valid("all_gather");
-  GroupState& g = *state_;
-  const int p = size();
-  const std::int64_t n = shard.numel();
-  if (out.numel() != n * p) {
-    std::ostringstream os;
-    os << "all_gather: out.numel()=" << out.numel()
-       << " must equal size()*shard.numel()=" << p << '*' << n << '=' << n * p
-       << " on " << describe();
-    throw std::invalid_argument(os.str());
-  }
-  const std::uint64_t tb = traffic_bytes(p, n);
-  ORBIT_TRACE_SPAN("comm.all_gather", trace::Category::kComm,
-                   g.axis.load(std::memory_order_relaxed),
-                   static_cast<std::int64_t>(tb));
-  OpFingerprint fp = make_fp(CollOp::kAllGather, &shard, site);
-  g.src[static_cast<std::size_t>(group_rank_)] = shard.data();
-  g.sync(group_rank_, fp, /*entry=*/true);
-  float* dst = out.data();
-  for (int r = 0; r < p; ++r) {
-    std::memcpy(dst + static_cast<std::int64_t>(r) * n,
-                g.src[static_cast<std::size_t>(r)],
-                static_cast<std::size_t>(n) * sizeof(float));
-  }
-  if (group_rank_ == 0) g.record(tb);
-  g.sync(group_rank_, fp, /*entry=*/false);
+  run_op(CollOp::kAllGather, &shard, shard, &out, -1, -1, site);
 }
 
 void ProcessGroup::reduce_scatter(const Tensor& input, Tensor& out,
                                   ReduceOp op, check::Site site) const {
-  require_valid("reduce_scatter");
-  GroupState& g = *state_;
-  const int p = size();
-  const std::int64_t seg = out.numel();
-  if (input.numel() != seg * p) {
-    std::ostringstream os;
-    os << "reduce_scatter: input.numel()=" << input.numel()
-       << " must equal size()*out.numel()=" << p << '*' << seg << '='
-       << seg * p << " on " << describe();
-    throw std::invalid_argument(os.str());
-  }
-  const std::uint64_t tb = traffic_bytes(p, seg);
-  ORBIT_TRACE_SPAN("comm.reduce_scatter", trace::Category::kComm,
-                   g.axis.load(std::memory_order_relaxed),
-                   static_cast<std::int64_t>(tb));
-  OpFingerprint fp = make_fp(CollOp::kReduceScatter, &out, site);
-  fp.reduce_op = static_cast<int>(op);
-  g.src[static_cast<std::size_t>(group_rank_)] = input.data();
-  g.sync(group_rank_, fp, /*entry=*/true);
-  const std::int64_t off = static_cast<std::int64_t>(group_rank_) * seg;
-  std::vector<float> acc(static_cast<std::size_t>(seg), 0.0f);
-  const float* s0 = g.src[0] + off;
-  for (std::int64_t i = 0; i < seg; ++i) acc[static_cast<std::size_t>(i)] = s0[i];
-  for (int r = 1; r < p; ++r) {
-    const float* s = g.src[static_cast<std::size_t>(r)] + off;
-    for (std::int64_t i = 0; i < seg; ++i) {
-      acc[static_cast<std::size_t>(i)] =
-          reduce_combine(op, acc[static_cast<std::size_t>(i)], s[i]);
-    }
-  }
-  reduce_finalise(op, acc.data(), seg, p);
-  if (group_rank_ == 0) g.record(tb);
-  g.sync(group_rank_, fp, /*entry=*/false);
-  std::memcpy(out.data(), acc.data(), static_cast<std::size_t>(seg) * sizeof(float));
+  run_op(CollOp::kReduceScatter, &out, input, &out, -1, static_cast<int>(op),
+         site);
 }
 
 void ProcessGroup::broadcast(Tensor& t, int root, check::Site site) const {
-  require_valid("broadcast");
-  require_root("broadcast", root);
-  GroupState& g = *state_;
-  const std::uint64_t tb = traffic_bytes(size(), t.numel());
-  ORBIT_TRACE_SPAN("comm.broadcast", trace::Category::kComm,
-                   g.axis.load(std::memory_order_relaxed),
-                   static_cast<std::int64_t>(tb));
-  OpFingerprint fp = make_fp(CollOp::kBroadcast, &t, site);
-  fp.root = root;
-  g.src[static_cast<std::size_t>(group_rank_)] = t.data();
-  g.sync(group_rank_, fp, /*entry=*/true);
-  if (group_rank_ != root) {
-    std::memcpy(t.data(), g.src[static_cast<std::size_t>(root)],
-                static_cast<std::size_t>(t.numel()) * sizeof(float));
-  }
-  if (group_rank_ == 0) g.record(tb);
-  g.sync(group_rank_, fp, /*entry=*/false);
+  run_op(CollOp::kBroadcast, &t, t, &t, root, -1, site);
 }
 
 void ProcessGroup::gather(const Tensor& shard, Tensor& out, int root,
                           check::Site site) const {
-  require_valid("gather");
-  require_root("gather", root);
-  GroupState& g = *state_;
-  const int p = size();
-  const std::int64_t n = shard.numel();
-  // Validated *before* the entry sync (like all_gather/reduce_scatter): a
-  // root that throws after taking its barrier slot would leave peers inside
-  // the collective, turning a local argument error into a group-wide
-  // desync. Failing here keeps the group state clean — the root can even
-  // catch the typed error and retry, and its peers complete normally.
-  if (group_rank_ == root && out.numel() != n * p) {
-    std::ostringstream os;
-    os << "gather: out.numel()=" << out.numel()
-       << " must equal size()*shard.numel()=" << p << '*' << n << '=' << n * p
-       << " on " << describe();
-    throw std::invalid_argument(os.str());
-  }
-  const std::uint64_t tb = traffic_bytes(p, n);
-  ORBIT_TRACE_SPAN("comm.gather", trace::Category::kComm,
-                   g.axis.load(std::memory_order_relaxed),
-                   static_cast<std::int64_t>(tb));
-  OpFingerprint fp = make_fp(CollOp::kGather, &shard, site);
-  fp.root = root;
-  g.src[static_cast<std::size_t>(group_rank_)] = shard.data();
-  g.sync(group_rank_, fp, /*entry=*/true);
-  if (group_rank_ == root) {
-    float* dst = out.data();
-    for (int r = 0; r < p; ++r) {
-      std::memcpy(dst + static_cast<std::int64_t>(r) * n,
-                  g.src[static_cast<std::size_t>(r)],
-                  static_cast<std::size_t>(n) * sizeof(float));
-    }
-  }
-  if (group_rank_ == 0) g.record(tb);
-  g.sync(group_rank_, fp, /*entry=*/false);
+  run_op(CollOp::kGather, &shard, shard, &out, root, -1, site);
 }
 
 void ProcessGroup::scatter(const Tensor& input, Tensor& out, int root,
                            check::Site site) const {
-  require_valid("scatter");
-  require_root("scatter", root);
-  GroupState& g = *state_;
-  const int p = size();
-  const std::int64_t seg = out.numel();
-  if (group_rank_ == root && input.numel() != seg * p) {
-    std::ostringstream os;
-    os << "scatter: input.numel()=" << input.numel()
-       << " must equal size()*out.numel()=" << p << '*' << seg << '='
-       << seg * p << " on " << describe();
-    throw std::invalid_argument(os.str());
-  }
-  const std::uint64_t tb = traffic_bytes(p, seg);
-  ORBIT_TRACE_SPAN("comm.scatter", trace::Category::kComm,
-                   g.axis.load(std::memory_order_relaxed),
-                   static_cast<std::int64_t>(tb));
-  OpFingerprint fp = make_fp(CollOp::kScatter, &out, site);
-  fp.root = root;
-  g.src[static_cast<std::size_t>(group_rank_)] =
-      group_rank_ == root ? input.data() : nullptr;
-  g.sync(group_rank_, fp, /*entry=*/true);
-  const float* base = g.src[static_cast<std::size_t>(root)];
-  std::memcpy(out.data(), base + static_cast<std::int64_t>(group_rank_) * seg,
-              static_cast<std::size_t>(seg) * sizeof(float));
-  if (group_rank_ == 0) g.record(tb);
-  g.sync(group_rank_, fp, /*entry=*/false);
+  run_op(CollOp::kScatter, &out, input, &out, root, -1, site);
+}
+
+CommHandle ProcessGroup::barrier_async(check::Site site) const {
+  return issue_async_op(CollOp::kBarrier, nullptr, Tensor(), nullptr, -1, -1,
+                        site);
+}
+
+CommHandle ProcessGroup::all_reduce_async(Tensor& t, ReduceOp op,
+                                          check::Site site) const {
+  return issue_async_op(CollOp::kAllReduce, &t, t, &t, -1,
+                        static_cast<int>(op), site);
+}
+
+CommHandle ProcessGroup::all_gather_async(const Tensor& shard, Tensor& out,
+                                          check::Site site) const {
+  return issue_async_op(CollOp::kAllGather, &shard, shard, &out, -1, -1, site);
+}
+
+CommHandle ProcessGroup::reduce_scatter_async(const Tensor& input, Tensor& out,
+                                              ReduceOp op,
+                                              check::Site site) const {
+  return issue_async_op(CollOp::kReduceScatter, &out, input, &out, -1,
+                        static_cast<int>(op), site);
+}
+
+CommHandle ProcessGroup::broadcast_async(Tensor& t, int root,
+                                         check::Site site) const {
+  return issue_async_op(CollOp::kBroadcast, &t, t, &t, root, -1, site);
+}
+
+CommHandle ProcessGroup::gather_async(const Tensor& shard, Tensor& out,
+                                      int root, check::Site site) const {
+  return issue_async_op(CollOp::kGather, &shard, shard, &out, root, -1, site);
+}
+
+CommHandle ProcessGroup::scatter_async(const Tensor& input, Tensor& out,
+                                       int root, check::Site site) const {
+  return issue_async_op(CollOp::kScatter, &out, input, &out, root, -1, site);
 }
 
 void ProcessGroup::send(const Tensor& t, int dst, int tag,
@@ -688,19 +531,8 @@ Tensor ProcessGroup::recv(int src, int tag, check::Site site) const {
   OpFingerprint fp = make_fp(CollOp::kRecv, nullptr, site);
   fp.peer = src;
   fp.tag = tag;
-  const bool checking = g.wc != nullptr && g.wc->check_enabled();
-  const int world_rank = g.members[static_cast<std::size_t>(group_rank_)];
-  if (checking) {
-    g.wc->set_blocked(world_rank, fp.describe() + " on " + g.desc);
-  }
-  struct BlockedGuard {
-    check::WorldCheck* wc;
-    int rank;
-    ~BlockedGuard() {
-      if (wc != nullptr) wc->clear_blocked(rank);
-    }
-  } guard{checking ? g.wc : nullptr, world_rank};
-
+  // The wait-graph entry is published only once the rank actually blocks.
+  BlockedGuard guard{nullptr, g.members[static_cast<std::size_t>(group_rank_)]};
   const auto key = std::make_tuple(src, group_rank_, tag);
   std::unique_lock<std::mutex> lk(g.mail_mu);
   for (;;) {
@@ -718,6 +550,10 @@ Tensor ProcessGroup::recv(int src, int tag, check::Site site) const {
       return t;
     }
     if (g.wc != nullptr) {
+      if (guard.wc == nullptr && g.wc->check_enabled()) {
+        g.wc->set_blocked(guard.rank, fp.describe() + " on " + g.desc);
+        guard.wc = g.wc;
+      }
       if (g.wc->failed()) throw check::CommDesyncError(g.wc->failure());
       if (g.wc->exited(g.members[static_cast<std::size_t>(src)])) {
         // The sender can never deliver: either it never sent (desync) or it
@@ -745,140 +581,133 @@ Tensor ProcessGroup::recv(int src, int tag, check::Site site) const {
 }
 
 // ---------------------------------------------------------------------------
-// Async engine: nonblocking issue + explicit completion.
+// The collective engine: issue + completion.
 //
-// Issue publishes this rank's fingerprint and staging pointer into the
-// group's in-flight table and returns immediately; comm::check validates
-// each ticket in issue order, the moment its last member issues. wait()
-// rendezvouses with the peers' issues (phase 1), performs the data
-// movement, and synchronizes completion (phase 2) — the same two-phase
-// discipline as the synchronous staging barrier, so a waited async op is
-// bitwise-identical to its synchronous twin.
+// Issue publishes this rank's fingerprint and staging pointer under the
+// group's next ticket and returns; comm::check validates each ticket in
+// issue order, the moment its last member issues. Completion rendezvouses
+// with the peers' issues (issue phase), performs the data movement, and
+// synchronizes completion (completion phase). A blocking collective is an
+// issue followed at once by its completion; an `*_async` one hands the
+// issued op back as a CommHandle and completes in wait(). Both forms run
+// the same code, so a waited async op is bitwise-identical to its blocking
+// twin.
 
 struct CommHandle::Impl {
-  std::shared_ptr<GroupState> g;
-  std::shared_ptr<AsyncOpState> op;
+  GroupState* g = nullptr;
+  OpState* op = nullptr;  ///< table entry; this rank releases it when done
   int grank = -1;
   CollOp kind = CollOp::kBarrier;
   OpFingerprint fp;  ///< this rank's fingerprint, for diagnostics
-  Tensor in;         ///< aliases the caller's input storage
-  Tensor out;        ///< aliases the caller's output storage
+  std::int64_t in_numel = 0;
+  float* out = nullptr;  ///< the caller's output storage
+  std::int64_t out_numel = 0;
+  /// Set only for an async handle, which owns its group and output storage
+  /// until it completes (a blocking call's caller keeps both alive) and
+  /// counts in the in-flight gauge.
+  std::shared_ptr<GroupState> owned_group;
+  Tensor owned_out;
   int root = -1;
   ReduceOp rop = ReduceOp::kSum;
   std::uint64_t bytes = 0;     ///< traffic_bytes of this op
-  std::uint64_t issue_ns = 0;  ///< trace clock at issue return
+  bool wake_peers = false;     ///< last issuer whose peers are not yet woken
+  std::uint64_t issue_ns = 0;  ///< trace clock at issue return (async)
   bool done = false;
 
-  /// sync_mu held. The last member to finish drops the table entry (the
-  /// keepalive inputs die with it); waiters still hold the shared op.
-  void mark_done_locked() {
-    if (op->done_flag[static_cast<std::size_t>(grank)]) return;
-    op->done_flag[static_cast<std::size_t>(grank)] = true;
-    if (++op->done_count == static_cast<int>(g->members.size())) {
-      g->inflight.erase(op->ticket);
-    }
+  /// Trace-span byte argument: none for a barrier, else the traffic bytes.
+  std::int64_t span_bytes() const {
+    return kind == CollOp::kBarrier ? -1 : static_cast<std::int64_t>(bytes);
   }
 
-  /// The owner is giving up without completing (stack unwinding, or a wait
-  /// that threw): release peers — they may still read this rank's published
-  /// input, which the op entry keeps alive — and never touch the outputs.
-  /// Peer-exit detection reports the dying rank as the root cause.
+  /// The owner is giving up without completing (stack unwinding, or a
+  /// completion that threw): release peers — they may still read this
+  /// rank's published input, which the op entry keeps alive — and never
+  /// touch the outputs. Peer-exit detection reports the dying rank as the
+  /// root cause.
   void abandon() noexcept {
     if (done) return;
     {
       std::lock_guard<std::mutex> lk(g->sync_mu);
-      mark_done_locked();
+      GroupState::mark_done_locked(*op, grank);
+      g->release_locked(*op);
     }
     g->sync_cv.notify_all();
-    g->axis_counters(g->axis.load(std::memory_order_relaxed))
-        .async_inflight.add(-1.0);
+    if (owned_group != nullptr) {
+      g->axis_counters(g->axis.load(std::memory_order_relaxed))
+          .async_inflight.add(-1.0);
+    }
     done = true;
   }
 
-  void complete();
-  void run_completion();
+  /// Wakes the peers waiting for this ticket's issues, if this rank was
+  /// the last to issue it (sync_mu not held).
+  void notify_issued() {
+    if (!wake_peers) return;
+    wake_peers = false;
+    g->sync_cv.notify_all();
+  }
+
+  /// Completes the op. `lk` is the issue's still-held lock in the blocking
+  /// form (issue and the issue phase take sync_mu once), or empty.
+  void complete(std::unique_lock<std::mutex> lk) {
+    try {
+      run_completion(lk);
+    } catch (...) {
+      // The op is no longer pending after a failed completion: it is
+      // abandoned so peers drain, and re-destroying an async handle in the
+      // caller's catch block stays silent.
+      if (lk.owns_lock()) lk.unlock();
+      abandon();
+      throw;
+    }
+  }
+
+  void run_completion(std::unique_lock<std::mutex>& lk);
 };
 
-void CommHandle::Impl::complete() {
-  try {
-    run_completion();
-  } catch (...) {
-    // The handle is no longer pending after a failed wait: the op is
-    // abandoned so peers drain, and re-destroying the handle in the
-    // caller's catch block stays silent.
-    abandon();
-    throw;
-  }
-}
-
-void CommHandle::Impl::run_completion() {
+void CommHandle::Impl::run_completion(std::unique_lock<std::mutex>& lk) {
   GroupState& gs = *g;
   const int p = static_cast<int>(gs.members.size());
-  const char* ax = gs.axis.load(std::memory_order_relaxed);
-  const std::uint64_t wait_enter_ns = trace::now_ns();
-  const bool checking = gs.wc != nullptr && gs.wc->check_enabled();
-  const int world_rank = gs.members[static_cast<std::size_t>(grank)];
-  ORBIT_TRACE_SPAN(wait_span_name(kind), trace::Category::kComm, ax);
 
-  struct BlockedGuard {
-    check::WorldCheck* wc;
-    int rank;
-    ~BlockedGuard() {
-      if (wc != nullptr) wc->clear_blocked(rank);
-    }
-  };
-
-  // Phase 1: rendezvous with every member's *issue* of this ticket.
-  {
-    std::unique_lock<std::mutex> lk(gs.sync_mu);
-    if (checking) {
-      gs.wc->set_blocked(world_rank,
-                         fp.describe() + " [async issue phase] on " + gs.desc);
-    }
-    BlockedGuard guard{checking ? gs.wc : nullptr, world_rank};
-    while (op->issued_count < p) {
-      gs.async_poll_checks(lk, grank, op->issued, fp, "[async issue phase]");
-      gs.sync_cv.wait_for(lk, kWaitPoll);
-    }
-    if (!gs.error.empty()) gs.throw_sticky();
-  }
+  // Issue phase: rendezvous with every member's issue of this ticket.
+  if (!lk.owns_lock()) lk = std::unique_lock<std::mutex>(gs.sync_mu);
+  gs.await(lk, grank, op->issued_count, op->issued, fp, "[issue phase]");
+  lk.unlock();
+  notify_issued();
 
   // Data movement. The published pointers are stable: every op->srcs write
-  // happened before issued_count reached p, which phase 1 observed under
-  // the mutex. Results a peer may still be reading (in-place all_reduce,
-  // reduce_scatter scratch) are staged locally and written only after the
-  // completion rendezvous — the exact discipline of the synchronous twins,
-  // which is what makes waited async ops bitwise-identical.
+  // happened before issued_count reached p, which the issue phase observed
+  // under the mutex. Results a peer may still be reading (in-place
+  // all_reduce, reduce_scatter scratch) are staged locally and written only
+  // after the completion rendezvous.
   std::vector<float> acc;
   switch (kind) {
-    case CollOp::kBarrier:
-      break;
     case CollOp::kAllReduce: {
-      const std::int64_t n = in.numel();
       const float* s0 = op->srcs[0];
-      acc.assign(s0, s0 + n);
+      acc.assign(s0, s0 + in_numel);
       for (int r = 1; r < p; ++r) {
         const float* s = op->srcs[static_cast<std::size_t>(r)];
-        for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t i = 0; i < in_numel; ++i) {
           acc[static_cast<std::size_t>(i)] =
               reduce_combine(rop, acc[static_cast<std::size_t>(i)], s[i]);
         }
       }
-      reduce_finalise(rop, acc.data(), n, p);
+      reduce_finalise(rop, acc.data(), in_numel, p);
       break;
     }
-    case CollOp::kAllGather: {
-      const std::int64_t n = in.numel();
-      float* dst = out.data();
+    case CollOp::kAllGather:
+    case CollOp::kGather: {
+      if (kind == CollOp::kGather && grank != root) break;
+      float* dst = out;
       for (int r = 0; r < p; ++r) {
-        std::memcpy(dst + static_cast<std::int64_t>(r) * n,
+        std::memcpy(dst + static_cast<std::int64_t>(r) * in_numel,
                     op->srcs[static_cast<std::size_t>(r)],
-                    static_cast<std::size_t>(n) * sizeof(float));
+                    static_cast<std::size_t>(in_numel) * sizeof(float));
       }
       break;
     }
     case CollOp::kReduceScatter: {
-      const std::int64_t seg = out.numel();
+      const std::int64_t seg = out_numel;
       const std::int64_t off = static_cast<std::int64_t>(grank) * seg;
       const float* s0 = op->srcs[0] + off;
       acc.assign(s0, s0 + seg);
@@ -894,26 +723,14 @@ void CommHandle::Impl::run_completion() {
     }
     case CollOp::kBroadcast: {
       if (grank != root) {
-        std::memcpy(out.data(), op->srcs[static_cast<std::size_t>(root)],
-                    static_cast<std::size_t>(out.numel()) * sizeof(float));
-      }
-      break;
-    }
-    case CollOp::kGather: {
-      if (grank == root) {
-        const std::int64_t n = in.numel();
-        float* dst = out.data();
-        for (int r = 0; r < p; ++r) {
-          std::memcpy(dst + static_cast<std::int64_t>(r) * n,
-                      op->srcs[static_cast<std::size_t>(r)],
-                      static_cast<std::size_t>(n) * sizeof(float));
-        }
+        std::memcpy(out, op->srcs[static_cast<std::size_t>(root)],
+                    static_cast<std::size_t>(out_numel) * sizeof(float));
       }
       break;
     }
     case CollOp::kScatter: {
-      const std::int64_t seg = out.numel();
-      std::memcpy(out.data(),
+      const std::int64_t seg = out_numel;
+      std::memcpy(out,
                   op->srcs[static_cast<std::size_t>(root)] +
                       static_cast<std::int64_t>(grank) * seg,
                   static_cast<std::size_t>(seg) * sizeof(float));
@@ -923,41 +740,24 @@ void CommHandle::Impl::run_completion() {
       break;
   }
   // Recorded by group rank 0 before it marks itself done, so every member
-  // sees the updated totals once its own wait() returns.
-  if (grank == 0) gs.record(bytes);
+  // sees the updated totals once its own call returns. Barriers move no
+  // data and record neither bytes nor an op.
+  if (grank == 0 && kind != CollOp::kBarrier) gs.record(bytes);
 
-  // Phase 2: completion rendezvous — the caller owns its buffers again only
-  // when every member finished (or abandoned) its reads.
-  {
-    std::unique_lock<std::mutex> lk(gs.sync_mu);
-    mark_done_locked();
-    lk.unlock();
-    gs.sync_cv.notify_all();
-    lk.lock();
-    if (checking) {
-      gs.wc->set_blocked(world_rank, fp.describe() +
-                                         " [async completion phase] on " +
-                                         gs.desc);
-    }
-    BlockedGuard guard{checking ? gs.wc : nullptr, world_rank};
-    while (op->done_count < p) {
-      gs.async_poll_checks(lk, grank, op->done_flag, fp,
-                           "[async completion phase]");
-      gs.sync_cv.wait_for(lk, kWaitPoll);
-    }
-    if (!gs.error.empty()) gs.throw_sticky();
-  }
+  // Completion phase: the caller owns its buffers again only when every
+  // member finished (or abandoned) its reads.
+  lk.lock();
+  const bool last = GroupState::mark_done_locked(*op, grank);
+  gs.await(lk, grank, op->done_count, op->done_flag, fp, "[completion phase]");
+  gs.release_locked(*op);
+  done = true;
+  lk.unlock();
+  if (last) gs.sync_cv.notify_all();
 
   // Deferred in-place results (all peers have finished reading our input).
   if (kind == CollOp::kAllReduce || kind == CollOp::kReduceScatter) {
-    std::memcpy(out.data(), acc.data(), acc.size() * sizeof(float));
+    std::memcpy(out, acc.data(), acc.size() * sizeof(float));
   }
-
-  GroupState::AxisCounters& ac = gs.axis_counters(ax);
-  ac.async_overlap_ns.inc(wait_enter_ns - issue_ns);
-  ac.async_wait_ns.inc(trace::now_ns() - wait_enter_ns);
-  ac.async_inflight.add(-1.0);
-  done = true;
 }
 
 CommHandle::CommHandle() = default;
@@ -994,7 +794,16 @@ bool CommHandle::pending() const { return impl_ != nullptr && !impl_->done; }
 
 void CommHandle::wait() {
   if (!pending()) return;
-  impl_->complete();
+  GroupState& g = *impl_->g;
+  const char* ax = g.axis.load(std::memory_order_relaxed);
+  const std::uint64_t wait_enter_ns = trace::now_ns();
+  ORBIT_TRACE_SPAN(span_name(impl_->kind, kWaitSpan), trace::Category::kComm,
+                   ax);
+  impl_->complete(std::unique_lock<std::mutex>());
+  GroupState::AxisCounters& ac = g.axis_counters(ax);
+  ac.async_overlap_ns.inc(wait_enter_ns - impl_->issue_ns);
+  ac.async_wait_ns.inc(trace::now_ns() - wait_enter_ns);
+  ac.async_inflight.add(-1.0);
 }
 
 void wait_all(std::vector<CommHandle>& handles) {
@@ -1002,202 +811,135 @@ void wait_all(std::vector<CommHandle>& handles) {
   handles.clear();
 }
 
-CommHandle ProcessGroup::issue_async_op(CollOp kind, const Tensor* fp_payload,
-                                        const Tensor& in, const Tensor& out,
-                                        int root, int reduce_op,
-                                        check::Site site) const {
+void ProcessGroup::prepare_op(CommHandle::Impl& op, CollOp kind, bool async,
+                              const Tensor* fp_payload, const Tensor& in,
+                              Tensor* out, int root, int reduce_op,
+                              check::Site site) const {
+  if (!valid()) {
+    require_valid(
+        (std::string(check::op_name(kind)) + (async ? "_async" : "")).c_str());
+  }
+  const int p = static_cast<int>(state_->members.size());
+  // Argument errors throw here, before this rank touches any group state:
+  // its peers are unaffected, and the caller may catch and retry. The size
+  // checks of gather/scatter apply on the root only (the other ranks'
+  // `out`/`input` is unused and may be undefined).
+  const bool at_root = group_rank_ == root;
+  const std::int64_t out_numel = out != nullptr ? out->numel() : 0;
+  const bool bad_root = (kind == CollOp::kBroadcast ||
+                         kind == CollOp::kGather || kind == CollOp::kScatter) &&
+                        (root < 0 || root >= p);
+  const bool bad_out = (kind == CollOp::kAllGather ||
+                        (kind == CollOp::kGather && at_root)) &&
+                       out_numel != in.numel() * p;
+  const bool bad_in = (kind == CollOp::kReduceScatter ||
+                       (kind == CollOp::kScatter && at_root)) &&
+                      in.numel() != out_numel * p;
+  if (bad_root || bad_out || bad_in) {
+    std::ostringstream os;
+    os << check::op_name(kind) << (async ? "_async" : "") << ": ";
+    if (bad_root) {
+      os << "root " << root << " out of range [0, " << p << ")";
+    } else if (bad_out) {
+      os << "out.numel()=" << out_numel
+         << " must equal size()*shard.numel()=" << p << '*' << in.numel()
+         << '=' << in.numel() * p;
+    } else {
+      os << "input.numel()=" << in.numel()
+         << " must equal size()*out.numel()=" << p << '*' << out_numel
+         << '=' << out_numel * p;
+    }
+    os << " on " << describe();
+    throw std::invalid_argument(os.str());
+  }
+
+  op.g = state_.get();
+  op.grank = group_rank_;
+  op.kind = kind;
+  op.fp = make_fp(kind, fp_payload, site);
+  op.fp.root = root;
+  op.fp.reduce_op = reduce_op;
+  op.in_numel = in.numel();
+  op.out = out != nullptr && out->defined() ? out->data() : nullptr;
+  op.out_numel = out_numel;
+  op.root = root;
+  op.rop = reduce_op >= 0 ? static_cast<ReduceOp>(reduce_op) : ReduceOp::kSum;
+  const bool segmented =
+      kind == CollOp::kReduceScatter || kind == CollOp::kScatter;
+  op.bytes = traffic_bytes(p, segmented ? out_numel : in.numel());
+}
+
+std::unique_lock<std::mutex> ProcessGroup::issue_op(CommHandle::Impl& op,
+                                                    const Tensor& in) const {
   GroupState& g = *state_;
   const int p = static_cast<int>(g.members.size());
-  // Same fault-injection point as the synchronous staging sync: a
-  // collective-triggered kill lands before this rank takes its in-flight
-  // slot, so the table stays clean and peers fail via peer-exit detection.
+  // Fault-injection point: a collective-triggered kill lands before this
+  // rank takes its ticket, so the table stays clean and peers fail via
+  // peer-exit detection.
   fault::on_collective(g.members[static_cast<std::size_t>(group_rank_)]);
 
-  OpFingerprint fp = make_fp(kind, fp_payload, site);
-  fp.root = root;
-  fp.reduce_op = reduce_op;
-
-  std::int64_t payload = 0;
-  switch (kind) {
-    case CollOp::kAllReduce:
-    case CollOp::kBroadcast:
-    case CollOp::kAllGather:
-    case CollOp::kGather:
-      payload = in.numel();
-      break;
-    case CollOp::kReduceScatter:
-    case CollOp::kScatter:
-      payload = out.numel();
-      break;
-    default:
-      break;
-  }
-
-  auto impl = std::make_unique<CommHandle::Impl>();
-  impl->g = state_;
-  impl->grank = group_rank_;
-  impl->kind = kind;
-  impl->in = in;
-  impl->out = out;
-  impl->root = root;
-  impl->rop =
-      reduce_op >= 0 ? static_cast<ReduceOp>(reduce_op) : ReduceOp::kSum;
-  impl->bytes = traffic_bytes(p, payload);
-
-  const bool checking = g.wc != nullptr && g.wc->check_enabled();
-  std::optional<std::string> mismatch;
-  {
-    std::unique_lock<std::mutex> lk(g.sync_mu);
-    if (!g.error.empty()) g.throw_sticky();
-    const std::uint64_t ticket =
-        g.async_tickets[static_cast<std::size_t>(group_rank_)]++;
-    auto it = g.inflight.find(ticket);
-    std::shared_ptr<AsyncOpState> op;
-    if (it == g.inflight.end()) {
-      op = std::make_shared<AsyncOpState>(static_cast<std::size_t>(p));
-      op->ticket = ticket;
-      g.inflight.emplace(ticket, op);
-    } else {
-      op = it->second;
+  std::unique_lock<std::mutex> lk(g.sync_mu);
+  if (!g.error.empty()) g.throw_sticky();
+  const std::uint64_t ticket =
+      g.tickets[static_cast<std::size_t>(group_rank_)]++;
+  OpState& st = g.op_at(ticket);
+  op.fp.seq = ticket;
+  st.fps[static_cast<std::size_t>(group_rank_)] = op.fp;
+  st.issued[static_cast<std::size_t>(group_rank_)] = true;
+  st.srcs[static_cast<std::size_t>(group_rank_)] =
+      in.defined() ? in.data() : nullptr;
+  st.inputs[static_cast<std::size_t>(group_rank_)] = in;
+  op.op = &st;
+  op.wake_peers = ++st.issued_count == p;
+  // In-order validation: the last member to issue this ticket
+  // cross-validates all p fingerprints; a divergence poisons the group so
+  // every waiter (and later issuer) fails with the same typed diagnostic.
+  // This rank fails at issue and never completes, so it gives up its slot.
+  if (op.wake_peers && g.wc != nullptr && g.wc->check_enabled()) {
+    std::optional<std::string> mismatch =
+        check::validate_fingerprints(g.desc, g.members, st.fps);
+    if (mismatch) {
+      g.error = *mismatch;
+      g.error_is_mismatch = true;
+      GroupState::mark_done_locked(st, group_rank_);
+      g.release_locked(st);
+      lk.unlock();
+      op.notify_issued();
+      throw check::CollectiveMismatchError(*mismatch);
     }
-    fp.seq = ticket;
-    op->fps[static_cast<std::size_t>(group_rank_)] = fp;
-    op->issued[static_cast<std::size_t>(group_rank_)] = true;
-    op->srcs[static_cast<std::size_t>(group_rank_)] =
-        in.defined() ? in.data() : nullptr;
-    op->inputs[static_cast<std::size_t>(group_rank_)] = in;
-    ++op->issued_count;
-    // In-order validation: the last member to issue this ticket plays the
-    // "last arriver" of a synchronous entry barrier and cross-validates
-    // all p fingerprints; a divergence poisons the group so every waiter
-    // (and later issuer) fails with the same typed diagnostic.
-    if (checking && op->issued_count == p) {
-      mismatch =
-          check::validate_fingerprints(g.desc, g.members, op->fps, op->issued);
-      if (mismatch) {
-        g.error = *mismatch;
-        g.error_is_mismatch = true;
-      }
-    }
-    impl->fp = fp;
-    impl->op = std::move(op);
   }
-  g.sync_cv.notify_all();
-  if (mismatch) throw check::CollectiveMismatchError(*mismatch);
-  g.axis_counters(g.axis.load(std::memory_order_relaxed))
-      .async_inflight.add(1.0);
-  impl->issue_ns = trace::now_ns();
-  return CommHandle(std::move(impl));
+  return lk;
 }
 
-CommHandle ProcessGroup::barrier_async(check::Site site) const {
-  require_valid("barrier_async");
-  ORBIT_TRACE_SPAN("comm.barrier.issue", trace::Category::kComm,
-                   state_->axis.load(std::memory_order_relaxed));
-  return issue_async_op(CollOp::kBarrier, nullptr, Tensor(), Tensor(), -1, -1,
-                        site);
-}
-
-CommHandle ProcessGroup::all_reduce_async(Tensor& t, ReduceOp op,
-                                          check::Site site) const {
-  require_valid("all_reduce_async");
-  ORBIT_TRACE_SPAN(
-      "comm.all_reduce.issue", trace::Category::kComm,
-      state_->axis.load(std::memory_order_relaxed),
-      static_cast<std::int64_t>(traffic_bytes(size(), t.numel())));
-  return issue_async_op(CollOp::kAllReduce, &t, t, t, -1,
-                        static_cast<int>(op), site);
-}
-
-CommHandle ProcessGroup::all_gather_async(const Tensor& shard, Tensor& out,
-                                          check::Site site) const {
-  require_valid("all_gather_async");
-  const int p = size();
-  const std::int64_t n = shard.numel();
-  if (out.numel() != n * p) {
-    std::ostringstream os;
-    os << "all_gather_async: out.numel()=" << out.numel()
-       << " must equal size()*shard.numel()=" << p << '*' << n << '=' << n * p
-       << " on " << describe();
-    throw std::invalid_argument(os.str());
-  }
-  ORBIT_TRACE_SPAN("comm.all_gather.issue", trace::Category::kComm,
+void ProcessGroup::run_op(CollOp kind, const Tensor* fp_payload,
+                          const Tensor& in, Tensor* out, int root,
+                          int reduce_op, check::Site site) const {
+  CommHandle::Impl op;
+  prepare_op(op, kind, /*async=*/false, fp_payload, in, out, root, reduce_op,
+             site);
+  ORBIT_TRACE_SPAN(span_name(kind, kBlockingSpan), trace::Category::kComm,
                    state_->axis.load(std::memory_order_relaxed),
-                   static_cast<std::int64_t>(traffic_bytes(p, n)));
-  return issue_async_op(CollOp::kAllGather, &shard, shard, out, -1, -1, site);
+                   op.span_bytes());
+  op.complete(issue_op(op, in));
 }
 
-CommHandle ProcessGroup::reduce_scatter_async(const Tensor& input, Tensor& out,
-                                              ReduceOp op,
-                                              check::Site site) const {
-  require_valid("reduce_scatter_async");
-  const int p = size();
-  const std::int64_t seg = out.numel();
-  if (input.numel() != seg * p) {
-    std::ostringstream os;
-    os << "reduce_scatter_async: input.numel()=" << input.numel()
-       << " must equal size()*out.numel()=" << p << '*' << seg << '='
-       << seg * p << " on " << describe();
-    throw std::invalid_argument(os.str());
-  }
-  ORBIT_TRACE_SPAN("comm.reduce_scatter.issue", trace::Category::kComm,
-                   state_->axis.load(std::memory_order_relaxed),
-                   static_cast<std::int64_t>(traffic_bytes(p, seg)));
-  return issue_async_op(CollOp::kReduceScatter, &out, input, out, -1,
-                        static_cast<int>(op), site);
-}
-
-CommHandle ProcessGroup::broadcast_async(Tensor& t, int root,
-                                         check::Site site) const {
-  require_valid("broadcast_async");
-  require_root("broadcast_async", root);
-  ORBIT_TRACE_SPAN(
-      "comm.broadcast.issue", trace::Category::kComm,
-      state_->axis.load(std::memory_order_relaxed),
-      static_cast<std::int64_t>(traffic_bytes(size(), t.numel())));
-  return issue_async_op(CollOp::kBroadcast, &t, t, t, root, -1, site);
-}
-
-CommHandle ProcessGroup::gather_async(const Tensor& shard, Tensor& out,
-                                      int root, check::Site site) const {
-  require_valid("gather_async");
-  require_root("gather_async", root);
-  const int p = size();
-  const std::int64_t n = shard.numel();
-  // Root output size is validated at issue — before any rendezvous state
-  // exists — mirroring the hoisted check of the synchronous gather.
-  if (group_rank_ == root && out.numel() != n * p) {
-    std::ostringstream os;
-    os << "gather_async: out.numel()=" << out.numel()
-       << " must equal size()*shard.numel()=" << p << '*' << n << '=' << n * p
-       << " on " << describe();
-    throw std::invalid_argument(os.str());
-  }
-  ORBIT_TRACE_SPAN("comm.gather.issue", trace::Category::kComm,
-                   state_->axis.load(std::memory_order_relaxed),
-                   static_cast<std::int64_t>(traffic_bytes(p, n)));
-  return issue_async_op(CollOp::kGather, &shard, shard, out, root, -1, site);
-}
-
-CommHandle ProcessGroup::scatter_async(const Tensor& input, Tensor& out,
-                                       int root, check::Site site) const {
-  require_valid("scatter_async");
-  require_root("scatter_async", root);
-  const int p = size();
-  const std::int64_t seg = out.numel();
-  if (group_rank_ == root && input.numel() != seg * p) {
-    std::ostringstream os;
-    os << "scatter_async: input.numel()=" << input.numel()
-       << " must equal size()*out.numel()=" << p << '*' << seg << '='
-       << seg * p << " on " << describe();
-    throw std::invalid_argument(os.str());
-  }
-  ORBIT_TRACE_SPAN("comm.scatter.issue", trace::Category::kComm,
-                   state_->axis.load(std::memory_order_relaxed),
-                   static_cast<std::int64_t>(traffic_bytes(p, seg)));
-  return issue_async_op(CollOp::kScatter, &out,
-                        group_rank_ == root ? input : Tensor(), out, root, -1,
-                        site);
+CommHandle ProcessGroup::issue_async_op(CollOp kind, const Tensor* fp_payload,
+                                        const Tensor& in, Tensor* out,
+                                        int root, int reduce_op,
+                                        check::Site site) const {
+  auto op = std::make_unique<CommHandle::Impl>();
+  prepare_op(*op, kind, /*async=*/true, fp_payload, in, out, root, reduce_op,
+             site);
+  op->owned_group = state_;
+  if (out != nullptr) op->owned_out = *out;
+  const char* ax = state_->axis.load(std::memory_order_relaxed);
+  ORBIT_TRACE_SPAN(span_name(kind, kIssueSpan), trace::Category::kComm, ax,
+                   op->span_bytes());
+  issue_op(*op, in).unlock();
+  op->notify_issued();
+  state_->axis_counters(ax).async_inflight.add(1.0);
+  op->issue_ns = trace::now_ns();
+  return CommHandle(std::move(op));
 }
 
 std::uint64_t ProcessGroup::bytes_moved() const {
@@ -1272,7 +1014,7 @@ class World {
     return report;
   }
 
-  /// Wake every blocked waiter (sync points and mailboxes) so it re-checks
+  /// Wake every blocked waiter (op tables and mailboxes) so it re-checks
   /// its predicate — used after a rank exits or the watchdog trips.
   void wake_all() {
     std::vector<std::shared_ptr<GroupState>> gs;

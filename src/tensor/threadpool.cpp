@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -17,6 +18,12 @@ thread_local bool tl_in_pool = false;
 /// Minimal fork-join pool: one shared task (a chunked range) at a time.
 /// Kernels are coarse-grained, so contention on the single task slot is not a
 /// bottleneck; simplicity and determinism of teardown matter more here.
+///
+/// Each parallel region's state lives on its caller's stack. A worker joins
+/// the current region under `mu_`, claims chunks from that region only, and
+/// leaves it under `mu_`; `run` returns once every chunk is claimed and no
+/// worker is still inside. A worker late for region k therefore either
+/// joins region k, or finds k gone and never sees its state.
 class Pool {
  public:
   explicit Pool(int n) : stop_(false), epoch_(0) {
@@ -46,87 +53,88 @@ class Pool {
       fn(0, n);
       return;
     }
-    std::unique_lock<std::mutex> lk(run_mu_);  // one parallel region at a time
+    std::unique_lock<std::mutex> rk(run_mu_);  // one parallel region at a time
+    Region region{&fn, n, chunks};
     {
-      std::lock_guard<std::mutex> g(mu_);
-      // A straggler from the previous region may still be spinning in
-      // work(), so the task slot is atomics published by the release store
-      // of next_chunk_ (its acquire fetch_add in work() pairs with it).
-      // pending_ is set before next_chunk_ so a straggler that claims a
-      // chunk of this region never decrements a stale counter.
-      task_fn_.store(&fn, std::memory_order_relaxed);
-      task_n_.store(n, std::memory_order_relaxed);
-      task_chunks_.store(chunks, std::memory_order_relaxed);
-      pending_.store(static_cast<int>(chunks), std::memory_order_relaxed);
-      next_chunk_.store(0, std::memory_order_release);
+      std::lock_guard<std::mutex> lk(mu_);
+      current_ = &region;
       ++epoch_;
     }
     cv_.notify_all();
-    work(/*main_thread=*/true);
-    // Wait for stragglers.
-    std::unique_lock<std::mutex> dk(done_mu_);
-    done_cv_.wait(dk, [this] {
-      return pending_.load(std::memory_order_acquire) == 0;
-    });
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      task_fn_.store(nullptr, std::memory_order_relaxed);
+    // parallel_for reaches here only from outside a region (nested calls
+    // run inline); the caller is inside this one while it works its share.
+    tl_in_pool = true;
+    std::exception_ptr error;
+    try {
+      work(region);
+    } catch (...) {
+      // No worker may start another chunk, nor keep `region` after we leave.
+      error = std::current_exception();
+      region.next.store(region.chunks);
     }
+    tl_in_pool = false;
+    // Every chunk is claimed; wait for the workers still running one.
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      done_cv_.wait(lk, [&region] { return region.workers == 0; });
+      current_ = nullptr;
+    }
+    if (error) std::rethrow_exception(error);
   }
 
  private:
+  /// One parallel region. `next` is the chunk claim counter; `workers`
+  /// (guarded by mu_) counts pool threads inside the region.
+  struct Region {
+    const std::function<void(std::int64_t, std::int64_t)>* fn;
+    std::int64_t n;
+    std::int64_t chunks;
+    std::atomic<std::int64_t> next{0};
+    int workers = 0;
+  };
+
   void worker_loop() {
     tl_in_pool = true;
     std::uint64_t seen = 0;
     for (;;) {
+      Region* region = nullptr;
       {
         std::unique_lock<std::mutex> lk(mu_);
         cv_.wait(lk, [&] { return stop_ || epoch_ != seen; });
         if (stop_) return;
         seen = epoch_;
+        region = current_;
+        if (region == nullptr) continue;
+        ++region->workers;
       }
-      work(/*main_thread=*/false);
+      work(*region);
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (--region->workers == 0) done_cv_.notify_all();
+      }
     }
   }
 
-  void work(bool main_thread) {
-    const bool was = tl_in_pool;
-    tl_in_pool = true;
+  static void work(Region& region) {
+    const std::int64_t per = (region.n + region.chunks - 1) / region.chunks;
     for (;;) {
-      const std::int64_t c =
-          next_chunk_.fetch_add(1, std::memory_order_acquire);
-      const std::int64_t chunks = task_chunks_.load(std::memory_order_relaxed);
-      if (c >= chunks) break;
-      const std::int64_t n = task_n_.load(std::memory_order_relaxed);
-      const auto* fn = task_fn_.load(std::memory_order_relaxed);
-      const std::int64_t per = (n + chunks - 1) / chunks;
+      const std::int64_t c = region.next.fetch_add(1);
+      if (c >= region.chunks) break;
       const std::int64_t b = c * per;
-      const std::int64_t e = std::min(n, b + per);
-      if (b < e) (*fn)(b, e);
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> dk(done_mu_);
-        done_cv_.notify_all();
-      }
+      const std::int64_t e = std::min(region.n, b + per);
+      if (b < e) (*region.fn)(b, e);
     }
-    if (main_thread) tl_in_pool = was;
   }
 
   std::mutex run_mu_;
   std::mutex mu_;
   std::condition_variable cv_;
-  std::mutex done_mu_;
   std::condition_variable done_cv_;
   std::vector<std::thread> workers_;
   int threads_;
   bool stop_;
   std::uint64_t epoch_;
-
-  std::atomic<const std::function<void(std::int64_t, std::int64_t)>*>
-      task_fn_{nullptr};
-  std::atomic<std::int64_t> task_n_{0};
-  std::atomic<std::int64_t> task_chunks_{0};
-  std::atomic<std::int64_t> next_chunk_{0};
-  std::atomic<int> pending_{0};
+  Region* current_ = nullptr;  ///< region open to joining workers (mu_)
 };
 
 std::unique_ptr<Pool>& pool_slot() {

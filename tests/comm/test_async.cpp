@@ -11,6 +11,8 @@
 #include "core/hs_engine.hpp"
 #include "model/vit.hpp"
 #include "tensor/ops.hpp"
+#include "trace/report.hpp"
+#include "trace/trace.hpp"
 
 /// Tests for the nonblocking collective engine: issue/wait semantics, the
 /// handle lifetime contract, in-flight fingerprint validation, failure
@@ -332,7 +334,120 @@ TEST(AsyncTraffic, AsyncOpsRecordSameBytesAsSync) {
     h.wait();
     EXPECT_EQ(g.ops_issued(), 1u);
     EXPECT_EQ(g.bytes_moved(), 1200u);  // (4-1) * 100 * 4, as for sync
+    // Barriers move no data: neither form records bytes or an op.
+    g.barrier();
+    g.barrier_async().wait();
+    EXPECT_EQ(g.ops_issued(), 1u);
+    EXPECT_EQ(g.bytes_moved(), 1200u);
   });
+}
+
+TEST(AsyncCheck, BlockingAndAsyncFormsShareOneTicketSpace) {
+  // Rank 0 calls the blocking form, rank 1 the async one: both take the
+  // group's next ticket, so they meet in the same op. The divergence that
+  // follows must name that shared sequence. A short watchdog timeout turns
+  // a regression into a fast failure instead of a hang.
+  check::ScopedConfig cfg(/*on=*/true, /*timeout_ms=*/1000);
+  std::vector<float> got(2, 0.0f);
+  const std::string msg = expect_comm_error<CollectiveMismatchError>(
+      2, [&](RankContext& ctx) {
+        auto g = ctx.world_group();
+        Tensor t = Tensor::full({4}, static_cast<float>(ctx.rank() + 1));
+        if (ctx.rank() == 0) {
+          g.all_reduce(t);
+        } else {
+          g.all_reduce_async(t).wait();
+        }
+        got[static_cast<std::size_t>(ctx.rank())] = t[3];
+        if (ctx.rank() == 0) {
+          g.all_reduce(t);
+        } else {
+          g.barrier_async().wait();
+        }
+      });
+  EXPECT_FLOAT_EQ(got[0], 3.0f);
+  EXPECT_FLOAT_EQ(got[1], 3.0f);
+  EXPECT_NE(msg.find("at seq 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("barrier"), std::string::npos) << msg;
+}
+
+/// kComm begin events of each rank track, in order.
+std::vector<std::vector<const trace::TraceEvent*>> comm_spans_per_track(
+    const trace::TraceSnapshot& snap) {
+  std::vector<std::vector<const trace::TraceEvent*>> out;
+  for (const trace::TraceTrack& t : snap.tracks) {
+    std::vector<const trace::TraceEvent*> spans;
+    for (const trace::TraceEvent& e : t.events) {
+      if (e.kind == trace::EventKind::kBegin &&
+          e.cat == trace::Category::kComm) {
+        spans.push_back(&e);
+      }
+    }
+    if (!spans.empty()) out.push_back(std::move(spans));
+  }
+  return out;
+}
+
+TEST(CommSpans, BlockingCollectiveIsExactlyOneSpan) {
+  // trace::summarize adds every kComm span to comm time and the per-axis op
+  // count, so a blocking collective must not nest issue/wait spans inside
+  // its own: one span, carrying the (p-1)*n*4 traffic bytes.
+  constexpr std::int64_t kN = 256;
+  constexpr std::int64_t kBytes = (2 - 1) * kN * 4;
+  trace::TraceSnapshot snap;
+  {
+    trace::ScopedTrace capture;
+    run_spmd(2, [&](RankContext& ctx) {
+      ProcessGroup g = ctx.new_group({0, 1});
+      g.set_axis("tp");
+      Tensor t = Tensor::ones({kN});
+      g.all_reduce(t);
+    });
+    snap = trace::snapshot();
+  }
+  const auto tracks = comm_spans_per_track(snap);
+  ASSERT_EQ(tracks.size(), 2u);
+  for (const auto& spans : tracks) {
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0]->name, "comm.all_reduce");
+    EXPECT_EQ(spans[0]->detail, "tp");
+    EXPECT_EQ(spans[0]->value, kBytes);
+  }
+  const trace::BreakdownReport report = trace::summarize(snap);
+  int rank_tracks = 0;
+  for (const trace::TrackBreakdown& tb : report.tracks) {
+    if (tb.axes.empty()) continue;
+    ++rank_tracks;
+    ASSERT_EQ(tb.axes.size(), 1u);
+    EXPECT_EQ(tb.axes[0].axis, "tp");
+    EXPECT_EQ(tb.axes[0].ops, 1u);
+    EXPECT_EQ(tb.axes[0].bytes, static_cast<std::uint64_t>(kBytes));
+    EXPECT_EQ(tb.comm_bytes, static_cast<std::uint64_t>(kBytes));
+  }
+  EXPECT_EQ(rank_tracks, 2);
+}
+
+TEST(CommSpans, AsyncCollectiveIsIssueAndWaitPair) {
+  constexpr std::int64_t kN = 256;
+  trace::TraceSnapshot snap;
+  {
+    trace::ScopedTrace capture;
+    run_spmd(2, [&](RankContext& ctx) {
+      ProcessGroup g = ctx.new_group({0, 1});
+      g.set_axis("tp");
+      Tensor t = Tensor::ones({kN});
+      g.all_reduce_async(t).wait();
+    });
+    snap = trace::snapshot();
+  }
+  const auto tracks = comm_spans_per_track(snap);
+  ASSERT_EQ(tracks.size(), 2u);
+  for (const auto& spans : tracks) {
+    ASSERT_EQ(spans.size(), 2u);
+    EXPECT_EQ(spans[0]->name, "comm.all_reduce.issue");
+    EXPECT_EQ(spans[0]->value, (2 - 1) * kN * 4);
+    EXPECT_EQ(spans[1]->name, "comm.all_reduce.wait");
+  }
 }
 
 }  // namespace
