@@ -1,12 +1,10 @@
 #include "core/distributed_model.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "comm/fault.hpp"
 #include "core/hs_checkpoint.hpp"
 #include "metrics/metrics.hpp"
-#include "tensor/ops.hpp"
 #include "trace/trace.hpp"
 
 namespace orbit::core {
@@ -73,33 +71,7 @@ void DistributedOrbitModel::backward(const Tensor& dy) {
 }
 
 void DistributedOrbitModel::sync_grads() {
-  ORBIT_TRACE_SPAN("hs.sync_grads");
-  // Async path mirrors HsEngine::sync_grads: issue every per-param
-  // all-reduce nonblocking, drain in issue order — bitwise identical to
-  // the synchronous loop.
-  const bool async = comm::async::enabled();
-  std::vector<comm::CommHandle> pending;
-  if (mesh_.ddp_group.valid() && mesh_.ddp_group.size() > 1) {
-    for (model::Param* p : hs_tower_->shard_params()) {
-      if (async) {
-        pending.push_back(
-            mesh_.ddp_group.all_reduce_async(p->grad, comm::ReduceOp::kAvg));
-      } else {
-        mesh_.ddp_group.all_reduce(p->grad, comm::ReduceOp::kAvg);
-      }
-    }
-  }
-  if (mesh_.data_group.valid() && mesh_.data_group.size() > 1) {
-    for (model::Param* p : replicated_params()) {
-      if (async) {
-        pending.push_back(
-            mesh_.data_group.all_reduce_async(p->grad, comm::ReduceOp::kAvg));
-      } else {
-        mesh_.data_group.all_reduce(p->grad, comm::ReduceOp::kAvg);
-      }
-    }
-  }
-  comm::wait_all(pending);
+  sync_mesh_grads(mesh_, hs_tower_->shard_params(), replicated_params());
 }
 
 void DistributedOrbitModel::zero_grad() {
@@ -131,48 +103,12 @@ double DistributedOrbitModel::train_step(const train::Batch& batch) {
   // are killed off inside sync_grads by peer-exit detection and the step
   // is lost on every rank — exactly a node crash at Frontier scale.
   comm::fault::on_train_step(mesh_.global_rank(), step_);
-  sync_grads();
-
-  {
-    ORBIT_TRACE_SPAN("hs.optimizer", trace::Category::kOptimizer);
-    bool do_step = true;
-    if (cfg_.engine.mixed_precision) {
-      opt_->scale_grads(1.0f / s);
-      // Overflow skipping must agree on every rank or replicas diverge.
-      Tensor flag = Tensor::full({1}, opt_->grads_nonfinite() ? 1.0f : 0.0f);
-      world_.all_reduce(flag, comm::ReduceOp::kMax);
-      do_step = scaler_.update(flag[0] > 0.5f);
-    }
-    if (do_step) {
-      if (cfg_.clip_norm > 0.0) {
-        ORBIT_TRACE_SPAN("hs.grad_clip", trace::Category::kOptimizer);
-        // Global-norm clipping: shard squares are disjoint across the
-        // FSDP x TP axes, so summing over both yields the model-wide norm;
-        // replicated params contribute once (identical on every rank).
-        // Every rank derives the same factor, keeping replicas in lockstep.
-        double shard_sq = 0.0;
-        for (model::Param* p : hs_tower_->shard_params()) {
-          shard_sq += sum_sq(p->grad);
-        }
-        Tensor acc = Tensor::full({1}, static_cast<float>(shard_sq));
-        if (mesh_.fsdp_group.valid() && mesh_.fsdp_group.size() > 1) {
-          mesh_.fsdp_group.all_reduce(acc, comm::ReduceOp::kSum);
-        }
-        if (mesh_.tp_group.valid() && mesh_.tp_group.size() > 1) {
-          mesh_.tp_group.all_reduce(acc, comm::ReduceOp::kSum);
-        }
-        double total_sq = acc[0];
-        for (model::Param* p : replicated_params()) total_sq += sum_sq(p->grad);
-        const double norm = std::sqrt(total_sq);
-        if (norm > cfg_.clip_norm && norm > 0.0) {
-          const float scale_factor =
-              static_cast<float>(cfg_.clip_norm / norm);
-          for (model::Param* p : opt_->params()) p->grad.scale_(scale_factor);
-        }
-      }
-      opt_->step();
-    }
-  }
+  const std::vector<model::Param*> shard = hs_tower_->shard_params();
+  const std::vector<model::Param*> replicated = replicated_params();
+  sync_mesh_grads(mesh_, shard, replicated);
+  train::finish_step(*opt_, cfg_.engine.mixed_precision ? &scaler_ : nullptr,
+                     cfg_.clip_norm,
+                     mesh_step_hooks(mesh_, world_, shard, replicated));
   ++step_;
   if (cfg_.checkpoint_every > 0 && !cfg_.checkpoint_prefix.empty() &&
       step_ % cfg_.checkpoint_every == 0) {
@@ -180,12 +116,7 @@ double DistributedOrbitModel::train_step(const train::Batch& batch) {
     save_step_checkpoint(cfg_.checkpoint_prefix, *this,
                          cfg_.checkpoint_keep_last);
   }
-
-  Tensor loss_t = Tensor::full({1}, static_cast<float>(local_loss));
-  if (mesh_.data_group.valid() && mesh_.data_group.size() > 1) {
-    mesh_.data_group.all_reduce(loss_t, comm::ReduceOp::kAvg);
-  }
-  return loss_t[0];
+  return data_group_mean(mesh_, local_loss);
 }
 
 std::int64_t DistributedOrbitModel::resume_latest() {

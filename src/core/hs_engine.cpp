@@ -6,6 +6,66 @@
 
 namespace orbit::core {
 
+namespace {
+bool spans_ranks(const comm::ProcessGroup& g) {
+  return g.valid() && g.size() > 1;
+}
+}  // namespace
+
+void sync_mesh_grads(const HybridMesh& mesh,
+                     const std::vector<model::Param*>& shard,
+                     const std::vector<model::Param*>& replicated) {
+  ORBIT_TRACE_SPAN("hs.sync_grads");
+  const bool async = comm::async::enabled();
+  std::vector<comm::CommHandle> pending;
+  const auto average = [&](const comm::ProcessGroup& group,
+                           const std::vector<model::Param*>& params) {
+    if (!spans_ranks(group)) return;
+    for (model::Param* p : params) {
+      if (async) {
+        pending.push_back(group.all_reduce_async(p->grad, comm::ReduceOp::kAvg));
+      } else {
+        group.all_reduce(p->grad, comm::ReduceOp::kAvg);
+      }
+    }
+  };
+  average(mesh.ddp_group, shard);
+  average(mesh.data_group, replicated);
+  comm::wait_all(pending);
+}
+
+train::StepHooks mesh_step_hooks(const HybridMesh& mesh,
+                                 const comm::ProcessGroup& world,
+                                 const std::vector<model::Param*>& shard,
+                                 const std::vector<model::Param*>& replicated) {
+  train::StepHooks hooks{"hs.optimizer", "hs.grad_clip", {}, {}};
+  hooks.overflow_vote = [&world](bool local) {
+    Tensor flag = Tensor::full({1}, local ? 1.0f : 0.0f);
+    world.all_reduce(flag, comm::ReduceOp::kMax);
+    return flag[0] > 0.5f;
+  };
+  hooks.global_sq_norm = [&mesh, &shard, &replicated] {
+    double shard_sq = 0.0;
+    for (model::Param* p : shard) shard_sq += sum_sq(p->grad);
+    Tensor acc = Tensor::full({1}, static_cast<float>(shard_sq));
+    for (const comm::ProcessGroup* g : {&mesh.fsdp_group, &mesh.tp_group}) {
+      if (spans_ranks(*g)) g->all_reduce(acc, comm::ReduceOp::kSum);
+    }
+    double total_sq = acc[0];
+    for (model::Param* p : replicated) total_sq += sum_sq(p->grad);
+    return total_sq;
+  };
+  return hooks;
+}
+
+double data_group_mean(const HybridMesh& mesh, double local) {
+  Tensor t = Tensor::full({1}, static_cast<float>(local));
+  if (spans_ranks(mesh.data_group)) {
+    mesh.data_group.all_reduce(t, comm::ReduceOp::kAvg);
+  }
+  return t[0];
+}
+
 HsEngine::HsEngine(const model::VitConfig& cfg, comm::RankContext& ctx,
                    HsEngineConfig engine_cfg)
     : cfg_(engine_cfg),
@@ -31,36 +91,7 @@ Tensor HsEngine::forward(const Tensor& x) { return tower_->forward(x); }
 Tensor HsEngine::backward(const Tensor& dy) { return tower_->backward(dy); }
 
 void HsEngine::sync_grads() {
-  ORBIT_TRACE_SPAN("hs.sync_grads");
-  const bool async = comm::async::enabled();
-  std::vector<comm::CommHandle> pending;
-  // Shard grads were already FSDP-averaged by the reduce-scatters inside
-  // backward; average over the DDP replicas. Async path: issue every
-  // param's all-reduce up front, wait at the end — the per-param math and
-  // order are unchanged, so the result is bitwise identical.
-  if (mesh_.ddp_group.valid() && mesh_.ddp_group.size() > 1) {
-    for (model::Param* p : tower_->shard_params()) {
-      if (async) {
-        pending.push_back(
-            mesh_.ddp_group.all_reduce_async(p->grad, comm::ReduceOp::kAvg));
-      } else {
-        mesh_.ddp_group.all_reduce(p->grad, comm::ReduceOp::kAvg);
-      }
-    }
-  }
-  // Replicated params saw only this rank's data shard: average over every
-  // data shard (the f and d axes together).
-  if (mesh_.data_group.valid() && mesh_.data_group.size() > 1) {
-    for (model::Param* p : tower_->replicated_params()) {
-      if (async) {
-        pending.push_back(
-            mesh_.data_group.all_reduce_async(p->grad, comm::ReduceOp::kAvg));
-      } else {
-        mesh_.data_group.all_reduce(p->grad, comm::ReduceOp::kAvg);
-      }
-    }
-  }
-  comm::wait_all(pending);
+  sync_mesh_grads(mesh_, tower_->shard_params(), tower_->replicated_params());
 }
 
 void HsEngine::zero_grad() { tower_->zero_grad(); }
@@ -86,30 +117,14 @@ double HsEngine::train_step_mse(const Tensor& x, const Tensor& target) {
   // Step-triggered fault-injection point (same placement as the full
   // distributed trainer's): local work done, nothing synchronised yet.
   comm::fault::on_train_step(mesh_.global_rank(), step_);
-  sync_grads();
-
-  {
-    ORBIT_TRACE_SPAN("hs.optimizer", trace::Category::kOptimizer);
-    bool do_step = true;
-    if (cfg_.mixed_precision) {
-      opt_->scale_grads(1.0f / s);
-      // Overflow decisions must agree across ranks or shards diverge: reduce
-      // the local flag with MAX over the whole world.
-      Tensor flag = Tensor::full({1}, opt_->grads_nonfinite() ? 1.0f : 0.0f);
-      world_.all_reduce(flag, comm::ReduceOp::kMax);
-      do_step = scaler_.update(flag[0] > 0.5f);
-    }
-    if (do_step) opt_->step();
-  }
-
-  // Report the global mean loss for convenience (average across data
-  // shards; identical within a TP group).
+  const std::vector<model::Param*> shard = tower_->shard_params();
+  const std::vector<model::Param*> replicated = tower_->replicated_params();
+  sync_mesh_grads(mesh_, shard, replicated);
+  train::finish_step(*opt_, cfg_.mixed_precision ? &scaler_ : nullptr,
+                     /*clip_norm=*/0.0,
+                     mesh_step_hooks(mesh_, world_, shard, replicated));
   ++step_;
-  Tensor loss_t = Tensor::full({1}, static_cast<float>(local_loss));
-  if (mesh_.data_group.valid() && mesh_.data_group.size() > 1) {
-    mesh_.data_group.all_reduce(loss_t, comm::ReduceOp::kAvg);
-  }
-  return loss_t[0];
+  return data_group_mean(mesh_, local_loss);
 }
 
 }  // namespace orbit::core

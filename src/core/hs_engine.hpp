@@ -16,6 +16,31 @@
 
 namespace orbit::core {
 
+/// --- the data-parallel side of a Hybrid-STOP step, shared by HsEngine and
+/// DistributedOrbitModel. `shard`: this rank's tower shards (already
+/// FSDP-averaged by backward's reduce-scatters); `replicated`: the params
+/// every rank holds whole.
+
+/// "hs.sync_grads": average `shard` grads over the DDP replicas and
+/// `replicated` grads over the data group. Under ORBIT_COMM_ASYNC every
+/// all-reduce is issued up front and drained in issue order, bitwise
+/// identical to the blocking loop.
+void sync_mesh_grads(const HybridMesh& mesh,
+                     const std::vector<model::Param*>& shard,
+                     const std::vector<model::Param*>& replicated);
+
+/// `train::finish_step` hooks ("hs.optimizer" ⊃ "hs.grad_clip"): MAX vote of
+/// the overflow flag over `world`; squared norm = shard squares (disjoint
+/// across FSDP x TP) as one f32 summed over both axes, plus the replicated
+/// squares once. The hooks keep references to all four arguments.
+train::StepHooks mesh_step_hooks(const HybridMesh& mesh,
+                                 const comm::ProcessGroup& world,
+                                 const std::vector<model::Param*>& shard,
+                                 const std::vector<model::Param*>& replicated);
+
+/// `local` averaged over the data group in f32: a distributed step's loss.
+double data_group_mean(const HybridMesh& mesh, double local);
+
 struct HsEngineConfig {
   int ddp = 1, fsdp = 1, tp = 1;
   HsOptions options;

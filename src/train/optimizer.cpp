@@ -6,6 +6,7 @@
 
 #include "tensor/bf16.hpp"
 #include "tensor/ops.hpp"
+#include "trace/trace.hpp"
 
 namespace orbit::train {
 
@@ -107,16 +108,51 @@ bool AdamW::grads_nonfinite() const {
   return false;
 }
 
-double clip_grad_norm(const std::vector<model::Param*>& params,
-                      double max_norm) {
+namespace {
+
+double local_sq_norm(const std::vector<model::Param*>& params) {
   double total = 0.0;
   for (const model::Param* p : params) total += sum_sq(p->grad);
-  const double norm = std::sqrt(total);
+  return total;
+}
+
+/// Scale `params`' grads down to norm `max_norm` given their squared norm.
+double clip_to(const std::vector<model::Param*>& params, double total_sq,
+               double max_norm) {
+  const double norm = std::sqrt(total_sq);
   if (norm > max_norm && norm > 0.0) {
     const float s = static_cast<float>(max_norm / norm);
     for (model::Param* p : params) p->grad.scale_(s);
   }
   return norm;
+}
+
+}  // namespace
+
+double clip_grad_norm(const std::vector<model::Param*>& params,
+                      double max_norm) {
+  return clip_to(params, local_sq_norm(params), max_norm);
+}
+
+bool finish_step(AdamW& opt, GradScaler* scaler, double clip_norm,
+                 const StepHooks& hooks) {
+  ORBIT_TRACE_SPAN(hooks.optimizer_span, trace::Category::kOptimizer);
+  if (scaler != nullptr) {
+    opt.scale_grads(1.0f / scaler->scale());
+    const bool local = opt.grads_nonfinite();
+    const bool overflow = hooks.overflow_vote ? hooks.overflow_vote(local)
+                                              : local;
+    if (!scaler->update(overflow)) return false;
+  }
+  if (clip_norm > 0.0) {
+    ORBIT_TRACE_SPAN(hooks.clip_span, trace::Category::kOptimizer);
+    const double total_sq = hooks.global_sq_norm
+                                ? hooks.global_sq_norm()
+                                : local_sq_norm(opt.params());
+    clip_to(opt.params(), total_sq, clip_norm);
+  }
+  opt.step();
+  return true;
 }
 
 }  // namespace orbit::train

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "model/checkpoint_io.hpp"
 #include "model/param.hpp"
+#include "train/grad_scaler.hpp"
 
 /// \file optimizer.hpp
 /// AdamW with FP32 master weights and optional BF16 working weights —
@@ -74,5 +76,29 @@ class AdamW {
 /// Global gradient-norm clipping; returns the pre-clip norm.
 double clip_grad_norm(const std::vector<model::Param*>& params,
                       double max_norm);
+
+/// What a training step's optimizer boundary (`finish_step`) is traced as,
+/// and the two group reductions it needs. Empty hooks mean one replica holds
+/// the whole model (the serial Trainer); the distributed engines supply
+/// reductions over their process groups.
+struct StepHooks {
+  const char* optimizer_span;  ///< static name; encloses the whole boundary
+  const char* clip_span;       ///< static name; nested, around clipping
+  /// Combine this rank's overflow flag over every rank sharing the update,
+  /// so all skip or none do. Empty: the local flag.
+  std::function<bool(bool local_overflow)> overflow_vote;
+  /// Squared gradient norm of the whole model. Empty: the sum of `sum_sq`
+  /// over the optimizer's params.
+  std::function<double()> global_sq_norm;
+};
+
+/// The optimizer boundary of every training step, after the backward pass
+/// (and any grad sync) left the loss-scaled gradients in `opt`'s params.
+/// With a `scaler` (mixed precision; the loss was scaled by
+/// `scaler->scale()`): unscale, vote on overflow, update the scaler, and on
+/// overflow skip the rest. Then clip to the global norm when
+/// `clip_norm > 0`, and take the AdamW step. Returns whether the step ran.
+bool finish_step(AdamW& opt, GradScaler* scaler, double clip_norm,
+                 const StepHooks& hooks);
 
 }  // namespace orbit::train

@@ -8,10 +8,6 @@
 
 namespace orbit::train {
 
-namespace {
-using trace::Category;
-}
-
 Trainer::Trainer(model::OrbitModel& m, TrainerConfig cfg)
     : model_(m), cfg_(std::move(cfg)), scaler_(cfg_.scaler) {
   AdamWConfig acfg = cfg_.adamw;
@@ -46,102 +42,54 @@ void Trainer::note_step(double loss, std::int64_t samples,
 }
 
 double Trainer::train_step(const Batch& batch) {
-  ORBIT_TRACE_SPAN("train.step");
-  const std::uint64_t t0 = trace::now_ns();
-  if (cfg_.schedule) opt_->set_lr(cfg_.schedule->at(step_));
-  model_.zero_grad();
-
-  double loss = 0.0;
-  Tensor dy;
-  {
-    ORBIT_TRACE_SPAN("train.forward");
-    Tensor pred = model_.forward(batch.inputs, batch.lead_days);
-    loss = metrics::wmse(pred, batch.targets, lat_weights_);
-    dy = metrics::wmse_grad(pred, batch.targets, lat_weights_);
-  }
-  const float scale = cfg_.mixed_precision ? scaler_.scale() : 1.0f;
-  if (scale != 1.0f) dy.scale_(scale);
-  {
-    ORBIT_TRACE_SPAN("train.backward");
-    model_.backward(dy);
-  }
-
-  {
-    ORBIT_TRACE_SPAN("train.optimizer", Category::kOptimizer);
-    bool do_step = true;
-    if (cfg_.mixed_precision) {
-      opt_->scale_grads(1.0f / scale);
-      const bool overflow = opt_->grads_nonfinite();
-      do_step = scaler_.update(overflow);
-    }
-    if (do_step) {
-      if (cfg_.clip_norm > 0.0) {
-        ORBIT_TRACE_SPAN("train.grad_clip", Category::kOptimizer);
-        clip_grad_norm(opt_->params(), cfg_.clip_norm);
-      }
-      opt_->step();
-    }
-  }
-  ++step_;
-  history_.push_back(loss);
-  note_step(loss, batch.size(), t0);
-  maybe_checkpoint();
-  return loss;
+  return step_over({&batch, 1});
 }
 
 double Trainer::train_step_accumulated(const std::vector<Batch>& micro_batches) {
   if (micro_batches.empty()) {
     throw std::invalid_argument("train_step_accumulated: no micro batches");
   }
+  return step_over(micro_batches);
+}
+
+double Trainer::step_over(std::span<const Batch> micro_batches) {
   ORBIT_TRACE_SPAN("train.step");
   const std::uint64_t t0 = trace::now_ns();
   if (cfg_.schedule) opt_->set_lr(cfg_.schedule->at(step_));
   model_.zero_grad();
 
-  const float scale = cfg_.mixed_precision ? scaler_.scale() : 1.0f;
-  // Each micro backward contributes grads normalised by its own batch;
-  // dividing by the micro count makes the sum the mean over the union,
-  // matching one large-batch step exactly (equal micro sizes assumed).
-  const float micro_weight =
-      scale / static_cast<float>(micro_batches.size());
-  double loss_sum = 0.0;
+  GradScaler* scaler = cfg_.mixed_precision ? &scaler_ : nullptr;
+  const float scale = scaler != nullptr ? scaler->scale() : 1.0f;
+  std::int64_t samples = 0;
+  for (const Batch& mb : micro_batches) samples += mb.size();
+  double loss = 0.0;
   for (const Batch& mb : micro_batches) {
+    // Each micro backward yields grads normalised by its own batch;
+    // weighting by the sample share n_i/N makes their sum the gradient of
+    // one step on the concatenation, whatever the micro sizes.
+    const float share =
+        static_cast<float>(mb.size()) / static_cast<float>(samples);
     Tensor dy;
     {
       ORBIT_TRACE_SPAN("train.forward");
       Tensor pred = model_.forward(mb.inputs, mb.lead_days);
-      loss_sum += metrics::wmse(pred, mb.targets, lat_weights_);
+      loss += static_cast<double>(mb.size()) / static_cast<double>(samples) *
+              metrics::wmse(pred, mb.targets, lat_weights_);
       dy = metrics::wmse_grad(pred, mb.targets, lat_weights_);
     }
-    dy.scale_(micro_weight);
+    const float weight = scale * share;
+    if (weight != 1.0f) dy.scale_(weight);
     ORBIT_TRACE_SPAN("train.backward");
     model_.backward(dy);
   }
 
-  {
-    ORBIT_TRACE_SPAN("train.optimizer", Category::kOptimizer);
-    bool do_step = true;
-    if (cfg_.mixed_precision) {
-      opt_->scale_grads(1.0f / scale);
-      do_step = scaler_.update(opt_->grads_nonfinite());
-    }
-    if (do_step) {
-      if (cfg_.clip_norm > 0.0) {
-        ORBIT_TRACE_SPAN("train.grad_clip", Category::kOptimizer);
-        clip_grad_norm(opt_->params(), cfg_.clip_norm);
-      }
-      opt_->step();
-    }
-  }
+  finish_step(*opt_, scaler, cfg_.clip_norm,
+              {"train.optimizer", "train.grad_clip", {}, {}});
   ++step_;
-  const double mean_loss =
-      loss_sum / static_cast<double>(micro_batches.size());
-  history_.push_back(mean_loss);
-  std::int64_t samples = 0;
-  for (const Batch& mb : micro_batches) samples += mb.size();
-  note_step(mean_loss, samples, t0);
+  history_.push_back(loss);
+  note_step(loss, samples, t0);
   maybe_checkpoint();
-  return mean_loss;
+  return loss;
 }
 
 void Trainer::save_checkpoint(const std::string& path) const {

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "model/vit.hpp"
@@ -56,10 +57,11 @@ class Trainer {
   double train_step(const Batch& batch);
 
   /// One optimizer step over several micro-batches whose gradients are
-  /// accumulated (averaged) before the update — equivalent to a single
-  /// step on their concatenation. `micro_batches` must have
-  /// `accumulation_steps` entries when that option is set, but any
-  /// non-empty count is accepted. Returns the mean loss.
+  /// accumulated, each weighted by its share of the samples, before the
+  /// update — equivalent to a single step on their concatenation, whatever
+  /// the micro sizes. `micro_batches` must have `accumulation_steps`
+  /// entries when that option is set, but any non-empty count is accepted.
+  /// Returns the sample-weighted mean loss.
   double train_step_accumulated(const std::vector<Batch>& micro_batches);
 
   /// wMSE of the current model on `batch` without touching gradients.
@@ -89,6 +91,9 @@ class Trainer {
   void resume_from(const std::string& path);
 
  private:
+  /// The one step body: forward, scaled backward of every micro-batch,
+  /// then `finish_step`. Returns the sample-weighted mean loss.
+  double step_over(std::span<const Batch> micro_batches);
   /// Periodic save when TrainerConfig::checkpoint_every divides step_.
   void maybe_checkpoint() const;
   /// Publish per-step telemetry (step time, throughput, loss).

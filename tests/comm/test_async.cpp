@@ -168,8 +168,8 @@ TEST(AsyncCollectives, InterleavedInFlightOpsCompleteInIssueOrder) {
 
     // Three different collectives in flight at once, plus a synchronous
     // one issued while they are pending: sync and async ops on the same
-    // group use independent sequencing, so mixing is legal as long as all
-    // ranks follow the same order.
+    // group draw from one shared ticket sequence, so mixing is legal as
+    // long as all ranks follow the same order.
     Tensor a = Tensor::full({8}, r);
     Tensor shard = Tensor::full({2}, r + 10.0f);
     Tensor gathered = Tensor::empty({2 * kP});

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <string>
 
+#include <unistd.h>
+
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/json_mini.hpp"
 #include "telemetry/registry.hpp"
@@ -29,7 +31,13 @@ std::string slurp(const std::string& path) {
 class FlightRecorderTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    prefix_ = ::testing::TempDir() + "/fr_test";
+    // ctest runs each case in its own process, possibly concurrently: a
+    // per-case, per-process stem keeps one case's cleanup() off another's
+    // bundles.
+    stem_ = std::string("fr_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid());
+    prefix_ = ::testing::TempDir() + "/" + stem_;
     cleanup();
     Registry::global().reset_for_tests();
     arm_flight_recorder(prefix_);
@@ -45,9 +53,10 @@ class FlightRecorderTest : public ::testing::Test {
     std::error_code ec;
     for (const auto& e : fs::directory_iterator(::testing::TempDir(), ec)) {
       const std::string name = e.path().filename().string();
-      if (name.rfind("fr_test", 0) == 0) fs::remove(e.path(), ec);
+      if (name.rfind(stem_, 0) == 0) fs::remove(e.path(), ec);
     }
   }
+  std::string stem_;
   std::string prefix_;
 };
 

@@ -65,6 +65,32 @@ TEST(Accumulation, EquivalentToLargeBatchStep) {
   }
 }
 
+TEST(Accumulation, UnequalMicroBatchesMatchConcatenation) {
+  // Micro-batches weigh by their share of the samples, not 1/k: a 1+3
+  // split of a batch of 4 must still step like the whole batch.
+  const model::VitConfig cfg = micro();
+  Batch big = make_batch(4, cfg, 17);
+
+  model::OrbitModel m1(cfg), m2(cfg);
+  TrainerConfig tc;
+  tc.adamw.lr = 1e-3f;
+  tc.clip_norm = 0.0;
+  Trainer whole(m1, tc), accum(m2, tc);
+
+  for (int step = 0; step < 3; ++step) {
+    const double l1 = whole.train_step(big);
+    const double l2 = accum.train_step_accumulated(
+        {slice_batch(big, 0, 1), slice_batch(big, 1, 4)});
+    EXPECT_NEAR(l1, l2, 1e-6 + 1e-4 * l1) << "step " << step;
+  }
+  auto p1 = m1.params();
+  auto p2 = m2.params();
+  for (std::size_t i = 0; i < p1.size(); ++i) {
+    EXPECT_LT(max_abs_diff(p1[i]->value, p2[i]->value), 1e-3f)
+        << p1[i]->name;
+  }
+}
+
 TEST(Accumulation, SingleMicroBatchEqualsPlainStep) {
   const model::VitConfig cfg = micro();
   Batch b = make_batch(2, cfg, 9);

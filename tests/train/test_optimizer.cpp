@@ -141,5 +141,45 @@ TEST(ClipGradNorm, MultiParamGlobalNorm) {
   EXPECT_NEAR(b.grad[0], 0.8f, 1e-5);
 }
 
+// finish_step's hook contract: the group reductions, not the local grads,
+// decide whether to skip and how far to clip.
+
+TEST(FinishStep, HookOverflowSkipsUpdateAndBacksOff) {
+  model::Param p = make_param({1.0f});
+  p.grad[0] = 8.0f;  // finite: only the vote reports an overflow
+  AdamW opt({&p}, AdamWConfig{});
+  GradScalerConfig scfg;
+  scfg.init_scale = 8.0f;
+  GradScaler scaler(scfg);
+  bool seen_local = true;
+  StepHooks hooks{"test.optimizer", "test.grad_clip", {}, {}};
+  hooks.overflow_vote = [&](bool local) {
+    seen_local = local;
+    return true;  // some other rank overflowed
+  };
+
+  EXPECT_FALSE(finish_step(opt, &scaler, /*clip_norm=*/1.0, hooks));
+  EXPECT_FALSE(seen_local);
+  EXPECT_FLOAT_EQ(p.grad[0], 1.0f);  // unscaled by 1/8
+  EXPECT_FLOAT_EQ(p.value[0], 1.0f);  // no update
+  EXPECT_EQ(opt.steps_taken(), 0);
+  EXPECT_FLOAT_EQ(scaler.scale(), 4.0f);
+  EXPECT_EQ(scaler.skipped_steps(), 1);
+}
+
+TEST(FinishStep, ClipsByHookNormNotLocalNorm) {
+  model::Param p = make_param({0.0f, 0.0f});
+  p.grad[0] = 3.0f;
+  p.grad[1] = 4.0f;  // local norm 5
+  AdamW opt({&p}, AdamWConfig{});
+  StepHooks hooks{"test.optimizer", "test.grad_clip", {}, {}};
+  hooks.global_sq_norm = [] { return 100.0; };  // model-wide norm 10
+
+  EXPECT_TRUE(finish_step(opt, /*scaler=*/nullptr, /*clip_norm=*/1.0, hooks));
+  EXPECT_NEAR(p.grad[0], 0.3f, 1e-6);  // 3 / 10, not 3 / 5
+  EXPECT_NEAR(p.grad[1], 0.4f, 1e-6);
+  EXPECT_EQ(opt.steps_taken(), 1);
+}
+
 }  // namespace
 }  // namespace orbit::train

@@ -202,17 +202,19 @@ else
 fi
 
 echo "==== [comm-async] nonblocking collectives under ORBIT_COMM_ASYNC=1 (TSan) ===="
-# Overlap check: re-run the comm-labelled checker tests plus the comm_async
+# Overlap check: re-run the comm-labelled checker tests, the comm_async
 # suite (handle lifetime, in-flight validation, chaos kill mid-flight, and
-# the 2x2x2 async-vs-blocking bitwise-identity run) with the engines set to
-# wait late. Blocking and async collectives share one issue + completion
-# engine; ORBIT_COMM_ASYNC=1 only moves where the engines wait, which
-# widens the window between publishing staging pointers and the completion
-# rendezvous. Reuses the TSan build — that ordering is exactly what TSan
-# audits.
+# the 2x2x2 async-vs-blocking bitwise-identity run), and the resilience and
+# elastic suites (kill-and-resume, chaos soak and reshard bitwise tests)
+# with the engines set to wait late. Blocking and async collectives share
+# one issue + completion engine; ORBIT_COMM_ASYNC=1 only moves where the
+# engines wait — the shared grad sync issues every all-reduce up front —
+# which widens the window between publishing staging pointers and the
+# completion rendezvous. Reuses the TSan build — that ordering is exactly
+# what TSan audits.
 if [ -d build-tsan ]; then
   if (cd build-tsan && ORBIT_COMM_ASYNC=1 ctest --output-on-failure \
-        --no-tests=error "-j${JOBS}" -L "comm|comm_async"); then
+        --no-tests=error "-j${JOBS}" -L "comm|comm_async|resilience|elastic"); then
     RESULT[comm-async]="PASS"
   else
     RESULT[comm-async]="FAIL"
