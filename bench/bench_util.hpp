@@ -1,12 +1,12 @@
 #pragma once
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "json/json.hpp"
 #include "telemetry/exporters.hpp"
 #include "tools/argparse.hpp"
 
@@ -67,6 +67,7 @@ inline std::string params_str(double params) {
 /// The `telemetry` object is the final registry snapshot flattened with the
 /// exporters' series naming (`comm_bytes_total{axis="fsdp"}`, ...), so a
 /// bench report and a Prometheus scrape of the same run agree key-for-key.
+/// Strings and numbers are written with `orbit::json` (non-finite = null).
 class JsonReport {
  public:
   JsonReport(int argc, char** argv, std::string bench_name)
@@ -104,56 +105,27 @@ class JsonReport {
   }
 
  private:
-  static std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    return out;
-  }
-
-  static std::string number(double v) {
-    if (!std::isfinite(v)) return "null";  // JSON has no NaN/inf
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    return buf;
-  }
-
   std::string to_json() const {
-    std::string out = "{\"bench\": \"" + escape(name_) + "\"";
+    std::string out = "{\"bench\": \"" + json::escape(name_) + "\"";
     out += ", \"metrics\": {";
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
       if (i) out += ", ";
-      out += "\"" + escape(metrics_[i].first) +
-             "\": " + number(metrics_[i].second);
+      out += "\"" + json::escape(metrics_[i].first) +
+             "\": " + json::number(metrics_[i].second);
     }
     out += "}, \"notes\": {";
     for (std::size_t i = 0; i < notes_.size(); ++i) {
       if (i) out += ", ";
-      out += "\"" + escape(notes_[i].first) + "\": \"" +
-             escape(notes_[i].second) + "\"";
+      out += "\"" + json::escape(notes_[i].first) + "\": \"" +
+             json::escape(notes_[i].second) + "\"";
     }
     out += "}, \"telemetry\": {";
     const auto series = telemetry::flat_series(
         telemetry::scrape(), /*window_quantiles=*/false);
     for (std::size_t i = 0; i < series.size(); ++i) {
       if (i) out += ", ";
-      out += "\"" + escape(series[i].first) +
-             "\": " + number(series[i].second);
+      out += "\"" + json::escape(series[i].first) +
+             "\": " + json::number(series[i].second);
     }
     out += "}}\n";
     return out;

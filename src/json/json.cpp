@@ -1,10 +1,12 @@
-#include "telemetry/json_mini.hpp"
+#include "json/json.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
-namespace orbit::telemetry::json {
+namespace orbit::json {
 
 bool Value::as_bool() const {
   if (type_ != Type::kBool) throw std::runtime_error("json: not a bool");
@@ -89,49 +91,15 @@ class Parser {
     const char c = peek();
     Value v;
     switch (c) {
-      case '{': {
-        v.type_ = Value::Type::kObject;
-        v.obj_ = std::make_shared<Object>();
-        expect('{');
-        skip_ws();
-        if (peek() == '}') {
-          ++pos_;
-          return v;
-        }
-        for (;;) {
-          skip_ws();
-          Value key = string_value();
-          skip_ws();
-          expect(':');
-          v.obj_->emplace_back(key.str_, value());
-          skip_ws();
-          if (peek() == ',') {
-            ++pos_;
-            continue;
-          }
-          expect('}');
-          return v;
-        }
-      }
+      case '{':
       case '[': {
-        v.type_ = Value::Type::kArray;
-        v.arr_ = std::make_shared<Array>();
-        expect('[');
-        skip_ws();
-        if (peek() == ']') {
-          ++pos_;
-          return v;
+        // The only recursion: bounding it bounds the stack on any input.
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
         }
-        for (;;) {
-          v.arr_->push_back(value());
-          skip_ws();
-          if (peek() == ',') {
-            ++pos_;
-            continue;
-          }
-          expect(']');
-          return v;
-        }
+        v = c == '{' ? object_value() : array_value();
+        --depth_;
+        return v;
       }
       case '"':
         return string_value();
@@ -153,6 +121,54 @@ class Parser {
     }
   }
 
+  Value object_value() {
+    Value v;
+    v.type_ = Value::Type::kObject;
+    v.obj_ = std::make_shared<Object>();
+    expect('{');
+    skip_ws();
+    if (peek() == '}') {
+      ++pos_;
+      return v;
+    }
+    for (;;) {
+      skip_ws();
+      Value key = string_value();
+      skip_ws();
+      expect(':');
+      v.obj_->emplace_back(key.str_, value());
+      skip_ws();
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      expect('}');
+      return v;
+    }
+  }
+
+  Value array_value() {
+    Value v;
+    v.type_ = Value::Type::kArray;
+    v.arr_ = std::make_shared<Array>();
+    expect('[');
+    skip_ws();
+    if (peek() == ']') {
+      ++pos_;
+      return v;
+    }
+    for (;;) {
+      v.arr_->push_back(value());
+      skip_ws();
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      expect(']');
+      return v;
+    }
+  }
+
   Value string_value() {
     Value v;
     v.type_ = Value::Type::kString;
@@ -161,6 +177,10 @@ class Parser {
       if (pos_ >= s_.size()) fail("unterminated string");
       const char c = s_[pos_++];
       if (c == '"') break;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        --pos_;
+        fail("unescaped control byte in string");
+      }
       if (c != '\\') {
         v.str_ += c;
         continue;
@@ -192,8 +212,8 @@ class Parser {
               fail("bad \\u escape");
             }
           }
-          // Our own writers only emit \u00XX control escapes; decode the
-          // BMP code point as UTF-8 so round-trips are lossless.
+          // The writers only emit \u00XX control escapes; decode the BMP
+          // code point as UTF-8 so round-trips are lossless.
           if (code < 0x80) {
             v.str_ += static_cast<char>(code);
           } else if (code < 0x800) {
@@ -235,6 +255,7 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 Value parse(const std::string& text) { return Parser(text).document(); }
@@ -255,4 +276,38 @@ std::vector<Value> parse_lines(const std::string& text) {
   return out;
 }
 
-}  // namespace orbit::telemetry::json
+std::string escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string number(double v) {
+  if (!std::isfinite(v)) return "null";
+  if (std::abs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
+    return std::to_string(static_cast<long long>(v));
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+}  // namespace orbit::json

@@ -4,16 +4,24 @@
 #include <string>
 #include <vector>
 
-/// \file json_mini.hpp
-/// A small strict JSON reader for the telemetry plane's own artifacts: the
-/// JSONL exporter records and the flight-recorder postmortem bundles, both
-/// of which this module also *writes*. It is a full-grammar recursive
-/// descent parser (objects, arrays, strings with escapes, numbers, bools,
-/// null), kept separate from the trace module's Chrome-JSON loader because
-/// that one is shaped around trace-event streams, not generic values.
+/// \file json.hpp
+/// The project's one JSON reader and writer. Every JSON artifact ORBIT
+/// emits — Chrome traces, JSONL metric records, postmortem bundles, bench
+/// `--json` reports, `ckpt_inspect --json` — is written with `escape` and
+/// `number`, and every one it reads back goes through `parse`.
+///
+/// The reader is a strict full-grammar recursive descent parser (objects,
+/// arrays, strings, numbers, bools, null): JSON whitespace only, unescaped
+/// control bytes inside strings rejected (RFC 8259 §7), `\u` escapes need
+/// exactly four hex digits and decode to UTF-8, and nesting deeper than
+/// `kMaxDepth` is rejected, so hostile input cannot exhaust the stack.
 /// Errors throw std::runtime_error naming the byte offset.
 
-namespace orbit::telemetry::json {
+namespace orbit::json {
+
+/// Deepest array/object nesting `parse` accepts. The deepest document the
+/// project writes is about five levels.
+inline constexpr int kMaxDepth = 256;
 
 class Value;
 using Object = std::vector<std::pair<std::string, Value>>;  ///< key-ordered as written
@@ -43,7 +51,6 @@ class Value {
   const Value* get(const std::string& key) const;
 
  private:
-  friend Value parse(const std::string&);
   friend class Parser;
   Type type_ = Type::kNull;
   bool bool_ = false;
@@ -59,4 +66,14 @@ Value parse(const std::string& text);
 /// Split a JSONL file body into parsed records, skipping blank lines.
 std::vector<Value> parse_lines(const std::string& text);
 
-}  // namespace orbit::telemetry::json
+/// The body of a JSON string literal (no surrounding quotes): `"`, `\` and
+/// every byte below 0x20 are escaped (`\n`, `\r`, `\t` by name, the rest as
+/// `\u00XX`); all other bytes pass through unchanged.
+std::string escape(const std::string& s);
+
+/// A JSON number: integral values below 1e15 in magnitude print bare
+/// ("42", not "4.2e+01") so counters stay greppable, others with `%.17g`
+/// (round-trippable). JSON has no NaN or infinity; they are written `null`.
+std::string number(double v);
+
+}  // namespace orbit::json

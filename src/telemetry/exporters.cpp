@@ -3,52 +3,23 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "env/env.hpp"
+#include "json/json.hpp"
 
 namespace orbit::telemetry {
 
 namespace {
 
-/// Shortest round-trippable rendering; integral values print without a
-/// mantissa so counters stay greppable ("42", not "4.2e+01").
+/// Prometheus exposition value: JSON's finite rendering, plus the
+/// exposition format's own NaN/+Inf/-Inf spellings.
 std::string render_number(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 1e15) {
-    return std::to_string(static_cast<long long>(v));
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+  return json::number(v);
 }
 
 std::string prom_label_block(const Labels& labels,
@@ -271,7 +242,7 @@ std::string to_jsonl_record(const RegistrySnapshot& snap) {
   for (const auto& [id, v] : flat_series(snap, /*window_quantiles=*/true)) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(id) + "\":" + render_number(v);
+    out += "\"" + json::escape(id) + "\":" + json::number(v);
   }
   out += "}}\n";
   return out;

@@ -75,7 +75,8 @@ std::vector<PromSample> parse_prometheus(const std::string& text);
 std::vector<std::pair<std::string, double>> flat_series(
     const RegistrySnapshot& snap, bool window_quantiles);
 
-/// One JSONL record (newline-terminated).
+/// One JSONL record (newline-terminated). Values are `json::number`s, so a
+/// non-finite value (a NaN loss gauge) is written `null`.
 std::string to_jsonl_record(const RegistrySnapshot& snap);
 
 /// --- periodic appender ----------------------------------------------------

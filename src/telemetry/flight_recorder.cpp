@@ -1,14 +1,13 @@
 #include "telemetry/flight_recorder.hpp"
 
 #include <csignal>
-#include <cstdio>
 #include <exception>
 #include <fstream>
 #include <mutex>
 
 #include "env/env.hpp"
+#include "json/json.hpp"
 #include "telemetry/exporters.hpp"
-#include "telemetry/json_mini.hpp"
 #include "trace/report.hpp"
 #include "trace/trace.hpp"
 
@@ -42,35 +41,6 @@ RecorderState& state() {
   return *s;
 }
 
-std::string esc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 const char* kind_tag(trace::EventKind k) {
   switch (k) {
     case trace::EventKind::kBegin: return "B";
@@ -89,10 +59,10 @@ std::string render_bundle(const std::string& reason, const std::string& error,
   std::string out = "{\n";
   out += "  \"schema\": \"orbit.postmortem.v1\",\n";
   out += "  \"ts_ns\": " + std::to_string(snap.ts_ns) + ",\n";
-  out += "  \"reason\": \"" + esc(reason) + "\",\n";
-  out += "  \"error\": \"" + esc(error) + "\",\n";
+  out += "  \"reason\": \"" + json::escape(reason) + "\",\n";
+  out += "  \"error\": \"" + json::escape(error) + "\",\n";
   if (!root_cause.empty()) {
-    out += "  \"root_cause\": \"" + esc(root_cause) + "\",\n";
+    out += "  \"root_cause\": \"" + json::escape(root_cause) + "\",\n";
   }
 
   out += "  \"env\": {";
@@ -102,7 +72,7 @@ std::string render_bundle(const std::string& reason, const std::string& error,
     first = false;
     const std::optional<std::string> v = env::raw(knob);
     out += "\n    \"" + std::string(knob) + "\": ";
-    out += v.has_value() ? "\"" + esc(*v) + "\"" : "null";
+    out += v.has_value() ? "\"" + json::escape(*v) + "\"" : "null";
   }
   out += "\n  },\n";
 
@@ -111,7 +81,7 @@ std::string render_bundle(const std::string& reason, const std::string& error,
   for (const auto& [id, v] : flat_series(snap, /*window_quantiles=*/false)) {
     if (!first) out += ",";
     first = false;
-    out += "\n    \"" + esc(id) + "\": " + num(v);
+    out += "\n    \"" + json::escape(id) + "\": " + json::number(v);
   }
   out += "\n  },\n";
 
@@ -123,7 +93,7 @@ std::string render_bundle(const std::string& reason, const std::string& error,
   for (const trace::TraceTrack& track : tsnap.tracks) {
     if (!first) out += ",";
     first = false;
-    out += "\n    {\"track\": \"" + esc(track.label) +
+    out += "\n    {\"track\": \"" + json::escape(track.label) +
            "\", \"dropped\": " + std::to_string(track.dropped) +
            ", \"events\": [";
     const std::size_t n = track.events.size();
@@ -134,9 +104,11 @@ std::string render_bundle(const std::string& reason, const std::string& error,
       if (i != start) out += ",";
       out += "\n      {\"ts_ns\": " + std::to_string(e.ts_ns) +
              ", \"kind\": \"" + kind_tag(e.kind) + "\", \"cat\": \"" +
-             esc(trace::category_name(e.cat)) + "\", \"name\": \"" +
-             esc(e.name) + "\"";
-      if (!e.detail.empty()) out += ", \"detail\": \"" + esc(e.detail) + "\"";
+             json::escape(trace::category_name(e.cat)) + "\", \"name\": \"" +
+             json::escape(e.name) + "\"";
+      if (!e.detail.empty()) {
+        out += ", \"detail\": \"" + json::escape(e.detail) + "\"";
+      }
       if (e.value >= 0) out += ", \"value\": " + std::to_string(e.value);
       out += "}";
     }
@@ -283,8 +255,11 @@ std::optional<std::string> validate_bundle(const std::string& path) {
   if (metrics == nullptr || !metrics->is_object()) {
     return "missing \"metrics\" object";
   }
+  // A non-finite metric (a diverged loss gauge) is written as null.
   for (const auto& [k, v] : metrics->as_object()) {
-    if (!v.is_number()) return "non-numeric metric value for " + k;
+    if (!v.is_number() && !v.is_null()) {
+      return "metric value for " + k + " must be a number or null";
+    }
   }
   const json::Value* tail = doc.get("trace_tail");
   if (tail == nullptr || !tail->is_array()) {

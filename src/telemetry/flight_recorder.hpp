@@ -58,7 +58,8 @@ std::optional<std::string> dump_postmortem(const std::string& reason,
 void install_crash_handlers();
 
 /// Structural validation of a bundle file: schema tag, required sections,
-/// well-formed JSON. Returns a description of the first problem, or
+/// well-formed JSON, metric values numbers or `null` (the bundle's encoding
+/// of a non-finite metric). Returns a description of the first problem, or
 /// nullopt when the bundle is valid. Used by the postmortem tests and by
 /// `tools/metrics_report --check-postmortem`.
 std::optional<std::string> validate_bundle(const std::string& path);

@@ -1,7 +1,6 @@
 #include "trace/report.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -12,6 +11,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "json/json.hpp"
+
 namespace orbit::trace {
 
 namespace {
@@ -20,28 +21,6 @@ constexpr int kPid = 1;
 
 bool is_rank_track(const std::string& label) {
   return label.rfind("rank ", 0) == 0;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 const char* ph_of(EventKind k) {
@@ -139,7 +118,7 @@ std::string to_chrome_json(const TraceSnapshot& snap) {
     std::snprintf(buf, sizeof(buf),
                   "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":%d,"
                   "\"tid\":%d,\"args\":{\"name\":\"%s\"}}",
-                  kPid, t.tid, json_escape(t.label).c_str());
+                  kPid, t.tid, json::escape(t.label).c_str());
     emit(buf);
     std::snprintf(buf, sizeof(buf),
                   "{\"ph\":\"M\",\"name\":\"thread_sort_index\",\"pid\":%d,"
@@ -161,7 +140,7 @@ std::string to_chrome_json(const TraceSnapshot& snap) {
                     static_cast<double>(e.ts_ns) / 1e3);  // microseconds
       ev << "{\"ph\":\"" << ph_of(e.kind) << "\",\"pid\":" << kPid
          << ",\"tid\":" << t.tid << ",\"ts\":" << ts;
-      if (!e.name.empty()) ev << ",\"name\":\"" << json_escape(e.name) << '"';
+      if (!e.name.empty()) ev << ",\"name\":\"" << json::escape(e.name) << '"';
       if (e.kind != EventKind::kCounter) {
         ev << ",\"cat\":\"" << category_name(e.cat) << '"';
       }
@@ -172,13 +151,13 @@ std::string to_chrome_json(const TraceSnapshot& snap) {
       }
       if (e.kind == EventKind::kCounter) {
         ev << ",\"args\":{\""
-           << json_escape(e.detail.empty() ? "value" : e.detail)
+           << json::escape(e.detail.empty() ? "value" : e.detail)
            << "\":" << e.value << '}';
       } else if (!e.detail.empty() || e.value >= 0) {
         ev << ",\"args\":{";
         bool sep = false;
         if (!e.detail.empty()) {
-          ev << "\"axis\":\"" << json_escape(e.detail) << '"';
+          ev << "\"axis\":\"" << json::escape(e.detail) << '"';
           sep = true;
         }
         if (e.value >= 0) {
@@ -212,228 +191,20 @@ bool write_chrome_json(const TraceSnapshot& snap, const std::string& path,
   return true;
 }
 
-// --- minimal JSON parser ----------------------------------------------------
-//
-// Only what the trace-event format needs: objects, arrays, strings, numbers,
-// bools, null. Key order is preserved (counter series name = first arg key).
-
-namespace {
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<JsonValue> arr;
-  std::vector<std::pair<std::string, JsonValue>> obj;
-
-  const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing characters after JSON value");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::runtime_error("trace JSON parse error at byte " +
-                             std::to_string(pos_) + ": " + why);
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue value() {
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      JsonValue v;
-      v.type = JsonValue::Type::kString;
-      v.str = string();
-      return v;
-    }
-    if (c == 't' || c == 'f') return boolean();
-    if (c == 'n') {
-      literal("null");
-      return {};
-    }
-    return number();
-  }
-
-  void literal(const char* word) {
-    skip_ws();
-    for (const char* p = word; *p != '\0'; ++p, ++pos_) {
-      if (pos_ >= s_.size() || s_[pos_] != *p) fail("bad literal");
-    }
-  }
-
-  JsonValue boolean() {
-    JsonValue v;
-    v.type = JsonValue::Type::kBool;
-    if (peek() == 't') {
-      literal("true");
-      v.b = true;
-    } else {
-      literal("false");
-    }
-    return v;
-  }
-
-  JsonValue number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a number");
-    JsonValue v;
-    v.type = JsonValue::Type::kNumber;
-    try {
-      v.num = std::stod(s_.substr(start, pos_ - start));
-    } catch (...) {
-      fail("malformed number '" + s_.substr(start, pos_ - start) + "'");
-    }
-    return v;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) fail("unterminated escape");
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) fail("short \\u escape");
-            const unsigned code = static_cast<unsigned>(
-                std::stoul(s_.substr(pos_, 4), nullptr, 16));
-            pos_ += 4;
-            // Traces only escape control chars; keep it simple (no UTF-16
-            // surrogate pairs — reject rather than mis-decode).
-            if (code > 0x7f) fail("non-ASCII \\u escape unsupported");
-            out += static_cast<char>(code);
-            break;
-          }
-          default: fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    fail("unterminated string");
-  }
-
-  JsonValue array() {
-    expect('[');
-    JsonValue v;
-    v.type = JsonValue::Type::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.arr.push_back(value());
-      const char c = peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  JsonValue object() {
-    expect('{');
-    JsonValue v;
-    v.type = JsonValue::Type::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      std::string key = (peek(), string());
-      expect(':');
-      v.obj.emplace_back(std::move(key), value());
-      const char c = peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-double num_or(const JsonValue* v, double def) {
-  return v != nullptr && v->type == JsonValue::Type::kNumber ? v->num : def;
-}
-
-std::string str_or(const JsonValue* v, const std::string& def) {
-  return v != nullptr && v->type == JsonValue::Type::kString ? v->str : def;
-}
-
-}  // namespace
-
 TraceSnapshot parse_chrome_json(const std::string& text) {
-  JsonValue root = JsonParser(text).parse();
-  const JsonValue* events = nullptr;
-  if (root.type == JsonValue::Type::kArray) {
-    events = &root;
-  } else if (root.type == JsonValue::Type::kObject) {
-    events = root.find("traceEvents");
-  }
-  if (events == nullptr || events->type != JsonValue::Type::kArray) {
+  const json::Value root = json::parse(text);
+  const json::Value* events = root.is_array() ? &root : root.get("traceEvents");
+  if (events == nullptr || !events->is_array()) {
     throw std::runtime_error(
         "trace JSON: expected a traceEvents array or a bare event array");
   }
+  // Absent or mistyped optional fields read as "" / 0.
+  const auto str = [](const json::Value* v) {
+    return v != nullptr && v->is_string() ? v->as_string() : std::string();
+  };
+  const auto num = [](const json::Value* v) {
+    return v != nullptr && v->is_number() ? v->as_number() : 0.0;
+  };
 
   struct TrackAccum {
     TraceTrack track;
@@ -441,27 +212,29 @@ TraceSnapshot parse_chrome_json(const std::string& text) {
   };
   std::map<int, TrackAccum> tracks;  // keyed by tid
 
-  for (const JsonValue& ev : events->arr) {
-    if (ev.type != JsonValue::Type::kObject) {
+  for (const json::Value& ev : events->as_array()) {
+    if (!ev.is_object()) {
       throw std::runtime_error("trace JSON: event is not an object");
     }
-    const std::string ph = str_or(ev.find("ph"), "");
-    const int tid = static_cast<int>(num_or(ev.find("tid"), 0));
+    const std::string ph = str(ev.get("ph"));
+    const int tid = static_cast<int>(num(ev.get("tid")));
     TrackAccum& acc = tracks[tid];
     acc.track.tid = tid;
-    const JsonValue* args = ev.find("args");
+    const json::Value* args = ev.get("args");
 
     if (ph == "M") {
-      const std::string name = str_or(ev.find("name"), "");
+      const std::string name = str(ev.get("name"));
       if (name == "thread_name" && args != nullptr) {
-        acc.track.label = str_or(args->find("name"), acc.track.label);
+        if (const json::Value* label = args->get("name");
+            label != nullptr && label->is_string()) {
+          acc.track.label = label->as_string();
+        }
       } else if (name == "thread_sort_index" && args != nullptr) {
-        acc.track.sort_key =
-            static_cast<int>(num_or(args->find("sort_index"), 0));
+        acc.track.sort_key = static_cast<int>(num(args->get("sort_index")));
         acc.seen_sort = true;
       } else if (name == "orbit_track_stats" && args != nullptr) {
-        acc.track.dropped = static_cast<std::uint64_t>(
-            num_or(args->find("dropped"), 0));
+        acc.track.dropped =
+            static_cast<std::uint64_t>(num(args->get("dropped")));
       }
       continue;
     }
@@ -470,31 +243,31 @@ TraceSnapshot parse_chrome_json(const std::string& text) {
 
     TraceEvent e;
     e.kind = *kind;
-    e.name = str_or(ev.find("name"), "");
-    e.cat = category_of(str_or(ev.find("cat"), ""));
-    const JsonValue* ts = ev.find("ts");
-    if (ts == nullptr || ts->type != JsonValue::Type::kNumber) {
+    e.name = str(ev.get("name"));
+    e.cat = category_of(str(ev.get("cat")));
+    const json::Value* ts = ev.get("ts");
+    if (ts == nullptr || !ts->is_number()) {
       throw std::runtime_error("trace JSON: event '" + e.name +
                                "' missing numeric ts");
     }
-    e.ts_ns = static_cast<std::uint64_t>(std::llround(ts->num * 1e3));
-    e.flow = static_cast<std::uint64_t>(num_or(ev.find("id"), 0));
-    if (args != nullptr && args->type == JsonValue::Type::kObject) {
+    e.ts_ns = static_cast<std::uint64_t>(std::llround(ts->as_number() * 1e3));
+    e.flow = static_cast<std::uint64_t>(num(ev.get("id")));
+    if (args != nullptr && args->is_object()) {
       if (e.kind == EventKind::kCounter) {
         // Counter series: the first numeric arg; its key is the detail tag.
-        for (const auto& [k, v] : args->obj) {
-          if (v.type == JsonValue::Type::kNumber) {
+        for (const auto& [k, v] : args->as_object()) {
+          if (v.is_number()) {
             e.detail = k == "value" ? "" : k;
-            e.value = static_cast<std::int64_t>(v.num);
+            e.value = static_cast<std::int64_t>(v.as_number());
             break;
           }
         }
       } else {
-        e.detail = str_or(args->find("axis"), "");
-        const JsonValue* val = args->find("bytes");
-        if (val == nullptr) val = args->find("value");
-        if (val != nullptr && val->type == JsonValue::Type::kNumber) {
-          e.value = static_cast<std::int64_t>(val->num);
+        e.detail = str(args->get("axis"));
+        const json::Value* val = args->get("bytes");
+        if (val == nullptr) val = args->get("value");
+        if (val != nullptr && val->is_number()) {
+          e.value = static_cast<std::int64_t>(val->as_number());
         }
       }
     }
@@ -766,7 +539,7 @@ std::string BreakdownReport::json() const {
   for (std::size_t i = 0; i < tracks.size(); ++i) {
     const TrackBreakdown& t = tracks[i];
     if (i > 0) os << ',';
-    os << "{\"label\":\"" << json_escape(t.label) << '"';
+    os << "{\"label\":\"" << json::escape(t.label) << '"';
     std::snprintf(buf, sizeof(buf),
                   ",\"busy_ms\":%.6f,\"comm_ms\":%.6f,\"compute_ms\":%.6f,"
                   "\"comm_fraction\":%.6f,\"comm_hidden_ms\":%.6f,"
@@ -784,7 +557,7 @@ std::string BreakdownReport::json() const {
     std::snprintf(buf, sizeof(buf),
                   "{\"axis\":\"%s\",\"time_ms\":%.6f,\"bytes\":%llu,"
                   "\"ops\":%llu}",
-                  json_escape(a.axis).c_str(), a.time_ms,
+                  json::escape(a.axis).c_str(), a.time_ms,
                   static_cast<unsigned long long>(a.bytes),
                   static_cast<unsigned long long>(a.ops));
     os << buf;

@@ -17,7 +17,8 @@
 ///
 /// `load_chrome_json` parses the JSON this module writes (plus any
 /// conforming trace-event file), so `tools/trace_report` can analyse a
-/// capture from an earlier run.
+/// capture from an earlier run. Both directions go through `orbit::json`
+/// (`json/json.hpp`): its reader, and its `escape` for every string.
 
 namespace orbit::trace {
 
@@ -71,7 +72,8 @@ std::string to_chrome_json(const TraceSnapshot& snap);
 bool write_chrome_json(const TraceSnapshot& snap, const std::string& path,
                        std::string* err = nullptr);
 /// Parse a trace-event file ({"traceEvents": [...]} or a bare array).
-/// Throws std::runtime_error naming the first malformed construct.
+/// Throws std::runtime_error naming the first malformed construct (for
+/// malformed JSON, `orbit::json::parse`'s byte offset).
 TraceSnapshot parse_chrome_json(const std::string& text);
 TraceSnapshot load_chrome_json(const std::string& path);
 

@@ -9,7 +9,7 @@
 #include "lexer.hpp"
 #include "rules.hpp"
 
-/// orbit_lint self-test: every rule R1–R9 has a firing fixture (the rule
+/// orbit_lint self-test: every rule R1–R10 has a firing fixture (the rule
 /// reports exactly the planted violations), a non-firing fixture (no
 /// over-fire on near-misses), and a scope check (the same bad content is
 /// clean when analyzed under an allow-listed or out-of-scope path). The
@@ -212,6 +212,27 @@ TEST(R9MeshLiterals, ReasonedSuppressionSilencesOnlyItsLine) {
   EXPECT_EQ(fs[0].line, 4);
 }
 
+// --- R10: hand-rolled JSON escapers -----------------------------------------
+
+TEST(R10JsonEscaper, FiresOnEscaperFormatStringsAnywhereInTheTree) {
+  for (const char* path : {"src/telemetry/foo.cpp", "bench/bench_util.hpp",
+                           "tools/ckpt_inspect.cpp", "tests/foo/test_x.cpp"}) {
+    const auto fs = analyze_fixture("r10_bad.cpp", path);
+    EXPECT_EQ(lines_of(fs, "R10"), (std::vector<int>{6, 10})) << path;
+    EXPECT_EQ(fs.size(), 2u) << path;
+  }
+}
+
+TEST(R10JsonEscaper, DoesNotFireOnTheSharedEscaperOrOtherFormats) {
+  EXPECT_TRUE(analyze_fixture("r10_good.cpp", "src/trace/foo.cpp").empty());
+}
+
+TEST(R10JsonEscaper, TheJsonModuleAndTheStandaloneAnalyzerAreExempt) {
+  EXPECT_TRUE(analyze_fixture("r10_bad.cpp", "src/json/json.cpp").empty());
+  EXPECT_TRUE(
+      analyze_fixture("r10_bad.cpp", "tools/analyze/orbit_lint.cpp").empty());
+}
+
 // --- suppressions -----------------------------------------------------------
 
 TEST(Suppression, WellFormedDirectivesSilenceTrailingAndNextLineTargets) {
@@ -341,7 +362,7 @@ TEST(Cli, ListRulesNamesEveryRule) {
     EXPECT_FALSE(r.id.empty());
     EXPECT_FALSE(r.summary.empty());
   }
-  EXPECT_EQ(rule_catalog().size(), 9u);
+  EXPECT_EQ(rule_catalog().size(), 10u);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "comm/world.hpp"
 #include "core/hs_checkpoint.hpp"
 #include "env/env.hpp"
+#include "json/json.hpp"
 #include "tensor/ops.hpp"
 
 /// The mesh-resharding checkpoint loader end to end: a generation saved on
@@ -465,6 +466,35 @@ TEST(CkptInspect, DumpsAndVerifiesAGenerationOffline) {
   // Usage and missing-generation contracts.
   EXPECT_EQ(run_cli(bin + " >/dev/null 2>&1"), 2);
   EXPECT_EQ(run_cli(bin + " --prefix /nonexistent/gen >/dev/null 2>&1"), 1);
+  cleanup(prefix);
+}
+
+TEST(CkptInspect, JsonEscapesControlBytesInThePrefix) {
+  // A tab in the generation prefix (and so in every rank file name) must
+  // come out escaped: raw control bytes inside a JSON string are invalid.
+  const model::VitConfig cfg = micro();
+  const std::string prefix = ::testing::TempDir() + "/inspect\ttab_gen";
+  cleanup(prefix);
+  comm::run_spmd(2, [&](comm::RankContext& ctx) {
+    DistributedOrbitModel m(cfg, ctx, config_for({1, 2, 1}, false));
+    Rng rng(100 + static_cast<std::uint64_t>(m.data_shard()));
+    m.attach_rng(&rng);
+    m.train_step(draw_batch(cfg, rng));
+    save_sharded_checkpoint(prefix, m);
+  });
+  const std::string out = prefix + ".out";
+  ASSERT_EQ(run_cli(std::string(ORBIT_CKPT_INSPECT_BIN) + " --prefix '" +
+                    prefix + "' --json 1 > '" + out + "'"),
+            0);
+  const std::string text = slurp(out);
+  EXPECT_EQ(text.find('\t'), std::string::npos) << text;
+  const json::Value doc = json::parse(text);
+  ASSERT_NE(doc.get("generation"), nullptr);
+  EXPECT_EQ(doc.get("generation")->as_string(), prefix);
+  ASSERT_NE(doc.get("ranks"), nullptr);
+  const json::Array& ranks = doc.get("ranks")->as_array();
+  ASSERT_EQ(ranks.size(), 2u);
+  EXPECT_EQ(ranks[0].get("file")->as_string(), prefix + ".rank0.bin");
   cleanup(prefix);
 }
 

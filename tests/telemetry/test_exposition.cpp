@@ -12,7 +12,7 @@
 
 #include "env/env.hpp"
 #include "telemetry/exporters.hpp"
-#include "telemetry/json_mini.hpp"
+#include "json/json.hpp"
 #include "telemetry/registry.hpp"
 
 /// Exporter contracts: the Prometheus text exposition golden format, the

@@ -3,20 +3,22 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
 #include <unistd.h>
 
+#include "telemetry/exporters.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/json_mini.hpp"
+#include "json/json.hpp"
 #include "telemetry/registry.hpp"
 #include "trace/trace.hpp"
 
 /// Flight-recorder bundle contract: arm/disarm, the suffix splicing the
 /// supervisor uses for per-attempt dumps, the sticky root-cause note, and
 /// the `orbit.postmortem.v1` schema round-trip through validate_bundle and
-/// the json_mini reader.
+/// the orbit::json reader.
 
 namespace orbit::telemetry {
 namespace {
@@ -97,6 +99,35 @@ TEST_F(FlightRecorderTest, ArmedDumpPassesValidationAndCarriesSections) {
   ASSERT_NE(env_obj->get("ORBIT_KERNELS"), nullptr);
   // Trace tail captured the serve scope.
   EXPECT_NE(slurp(*path).find("\"handle\""), std::string::npos);
+}
+
+TEST_F(FlightRecorderTest, NonFiniteGaugeIsNullInBundleAndJsonl) {
+  // A diverged run is when a postmortem matters most: a NaN loss gauge
+  // must leave the bundle valid and the JSONL record parseable.
+  Registry::global().gauge("fr_loss").set(
+      std::numeric_limits<double>::quiet_NaN());
+  Registry::global().gauge("fr_peak").set(
+      -std::numeric_limits<double>::infinity());
+  const auto path = dump_postmortem("manual", "loss diverged");
+  ASSERT_TRUE(path.has_value());
+  EXPECT_FALSE(validate_bundle(*path).has_value())
+      << validate_bundle(*path).value_or("");
+  const json::Value b = json::parse(slurp(*path));
+  const json::Value* metrics = b.get("metrics");
+  ASSERT_NE(metrics, nullptr);
+  ASSERT_NE(metrics->get("fr_loss"), nullptr);
+  EXPECT_TRUE(metrics->get("fr_loss")->is_null());
+  ASSERT_NE(metrics->get("fr_peak"), nullptr);
+  EXPECT_TRUE(metrics->get("fr_peak")->is_null());
+
+  const json::Value rec = json::parse(to_jsonl_record(scrape()));
+  ASSERT_NE(rec.get("metrics"), nullptr);
+  ASSERT_NE(rec.get("metrics")->get("fr_loss"), nullptr);
+  EXPECT_TRUE(rec.get("metrics")->get("fr_loss")->is_null());
+  // The Prometheus exposition keeps that format's own spellings.
+  const std::string prom = to_prometheus(scrape());
+  EXPECT_NE(prom.find("fr_loss NaN\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("fr_peak -Inf\n"), std::string::npos) << prom;
 }
 
 TEST_F(FlightRecorderTest, SuffixSplicesBetweenPrefixAndExtension) {

@@ -10,7 +10,7 @@
 #include "comm/world.hpp"
 #include "resilience/supervisor.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/json_mini.hpp"
+#include "json/json.hpp"
 
 /// The flight recorder under real failure traffic: a chaos kill inside a
 /// supervised run_spmd world must leave a postmortem bundle that passes

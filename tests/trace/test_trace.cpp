@@ -3,6 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -201,6 +203,25 @@ TEST(Trace, ChromeJsonRoundTripIsMonotonicAndLossless) {
     EXPECT_EQ(a.axes_total[i].axis, b.axes_total[i].axis);
     EXPECT_EQ(a.axes_total[i].bytes, b.axes_total[i].bytes);
   }
+}
+
+TEST(Trace, ParseChromeJsonRejectsMalformedUnicodeEscape) {
+  // A \u escape takes exactly four hex digits; "\u12zz" is not one.
+  EXPECT_THROW(
+      parse_chrome_json(R"([{"ph":"i","ts":1,"tid":1,"name":"a\u12zzb"}])"),
+      std::runtime_error);
+  // A well-formed non-ASCII escape decodes to UTF-8.
+  const TraceSnapshot ok =
+      parse_chrome_json(R"([{"ph":"i","ts":1,"tid":1,"name":"caf\u00e9"}])");
+  ASSERT_EQ(ok.tracks.size(), 1u);
+  ASSERT_EQ(ok.tracks[0].events.size(), 1u);
+  EXPECT_EQ(ok.tracks[0].events[0].name, "caf\xc3\xa9");
+}
+
+TEST(Trace, ParseChromeJsonBoundsNestingDepth) {
+  // Hostile nesting throws instead of overflowing the stack.
+  EXPECT_THROW(parse_chrome_json(std::string(2000000, '[')),
+               std::runtime_error);
 }
 
 TEST(Trace, ValidateRejectsMalformedNesting) {

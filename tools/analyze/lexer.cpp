@@ -150,7 +150,8 @@ LexedFile lex_string(const std::string& path, const std::string& contents) {
     // String / char literal (escape-aware).
     if (c == '"' || c == '\'') {
       const char quote = c;
-      ++i;
+      const int open_line = line;
+      const std::size_t start = ++i;
       while (i < n && contents[i] != quote) {
         if (contents[i] == '\\' && i + 1 < n) {
           ++i;
@@ -158,6 +159,10 @@ LexedFile lex_string(const std::string& path, const std::string& contents) {
           ++line;  // unterminated literal: keep line counts honest
         }
         ++i;
+      }
+      if (quote == '"') {
+        out.strings.push_back(
+            StringLiteral{contents.substr(start, i - start), open_line});
       }
       if (i < n) ++i;  // closing quote
       continue;

@@ -34,15 +34,23 @@ struct Include {
   int line = 0;
 };
 
+/// An ordinary (non-raw) string literal, kept apart from the token stream.
+struct StringLiteral {
+  std::string text;  ///< spelling between the quotes, escapes as written
+  int line = 0;      ///< line of the opening quote
+};
+
 struct LexedFile {
   std::string path;  ///< repo-relative path with forward slashes
   std::vector<Token> tokens;
   std::vector<Suppression> suppressions;
   std::vector<Include> includes;
+  std::vector<StringLiteral> strings;
 };
 
 /// Tokenize `contents` (comments, string/char literals — including raw
-/// strings — stripped; lines counted through them).
+/// strings — stripped from `tokens`; lines counted through them). Ordinary
+/// string literals are also recorded in `strings`.
 LexedFile lex_string(const std::string& path, const std::string& contents);
 
 /// Read and tokenize a file on disk. Throws std::runtime_error when the

@@ -326,6 +326,23 @@ void rule_r9(const LexedFile& f, std::vector<Finding>* out) {
   }
 }
 
+/// R10 — one JSON string escaper: `orbit::json::escape` (src/json/). A
+/// `\\u%04x` format string is the signature of a hand-rolled copy, and
+/// copies drift (a missed `\r`, raw control bytes). tools/analyze is exempt:
+/// the analyzer is standalone by design and links no orbit library.
+void rule_r10(const LexedFile& f, std::vector<Finding>* out) {
+  if (starts_with(f.path, "src/json/") ||
+      starts_with(f.path, "tools/analyze/")) {
+    return;
+  }
+  for (const StringLiteral& s : f.strings) {
+    if (s.text.find("\\\\u%04") == std::string::npos) continue;
+    add(out, f, s.line, "R10",
+        "hand-rolled JSON string escaper (a \\u%04x format) — write JSON "
+        "strings with orbit::json::escape (src/json/json.hpp)");
+  }
+}
+
 }  // namespace
 
 const std::vector<RuleInfo>& rule_catalog() {
@@ -339,6 +356,7 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"R7", "no naked std::thread outside threadpool/run_spmd/serve pool"},
       {"R8", "no ad-hoc std::atomic counters in src/serve, src/resilience"},
       {"R9", "no hard-coded (ddp, fsdp, tp) mesh literals in src/ (elastic)"},
+      {"R10", "no hand-rolled JSON escaper (\\u%04x) outside src/json/"},
   };
   return kCatalog;
 }
@@ -354,9 +372,10 @@ std::vector<Finding> analyze_file(const LexedFile& f) {
   rule_r7(f, &raw);
   rule_r8(f, &raw);
   rule_r9(f, &raw);
+  rule_r10(f, &raw);
 
-  static const std::set<std::string> kKnown = {"R1", "R2", "R3", "R4", "R5",
-                                               "R6", "R7", "R8", "R9"};
+  static const std::set<std::string> kKnown = {
+      "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10"};
   std::vector<Finding> out;
 
   // Directive hygiene first: a malformed / reason-less / unknown-rule

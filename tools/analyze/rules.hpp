@@ -5,7 +5,7 @@
 
 #include "lexer.hpp"
 
-/// orbit_lint's rule engine: seven project invariants (R1–R7) that generic
+/// orbit_lint's rule engine: ten project invariants (R1–R10) that generic
 /// clang-tidy cannot express because they encode ORBIT-specific module
 /// boundaries, not C++ semantics. The catalog, scopes, and allow-lists are
 /// documented in DESIGN.md §4g; each rule has firing + non-firing fixtures
@@ -15,7 +15,7 @@ namespace orbit::lint {
 struct Finding {
   std::string file;
   int line = 0;
-  std::string rule;     ///< "R1".."R7", or "directive" for bad suppressions
+  std::string rule;     ///< "R1".."R10", or "directive" for bad suppressions
   std::string message;
 };
 

@@ -25,12 +25,14 @@
 
 #include "argparse.hpp"
 #include "core/reshard.hpp"
+#include "json/json.hpp"
 #include "model/checkpoint_io.hpp"
 #include "parallel/shard_desc.hpp"
 
 namespace {
 
 using orbit::core::reshard::Manifest;
+using orbit::json::escape;
 using orbit::parallel::ShardedSetDesc;
 using orbit::parallel::SliceDesc;
 
@@ -175,24 +177,9 @@ void print_text(const std::string& prefix, const Manifest& man,
   }
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 void print_json(const std::string& prefix, const Manifest& man,
                 const std::vector<RankStatus>& ranks) {
-  std::printf("{\n  \"generation\": \"%s\",\n", json_escape(prefix).c_str());
+  std::printf("{\n  \"generation\": \"%s\",\n", escape(prefix).c_str());
   std::printf("  \"mesh\": {\"ddp\": %d, \"fsdp\": %d, \"tp\": %d},\n",
               man.mesh.ddp, man.mesh.fsdp, man.mesh.tp);
   std::printf("  \"step\": %lld,\n  \"masters\": %s,\n  \"rng\": %s,\n",
@@ -203,8 +190,7 @@ void print_json(const std::string& prefix, const Manifest& man,
     const ShardedSetDesc& set = man.layout.sets[i];
     std::printf("    {\"name\": \"%s\", \"record\": \"%s\", \"shard_numel\": "
                 "%lld, \"members\": [",
-                json_escape(set.name).c_str(),
-                json_escape(set.record_name()).c_str(),
+                escape(set.name).c_str(), escape(set.record_name()).c_str(),
                 static_cast<long long>(
                     set.shard_size(man.mesh.tp, man.mesh.fsdp)));
     for (std::size_t j = 0; j < set.members.size(); ++j) {
@@ -212,7 +198,7 @@ void print_json(const std::string& prefix, const Manifest& man,
       const auto [b, e] = mem.extent(0, man.mesh.tp);
       std::printf("%s{\"logical\": \"%s\", \"axis\": %d, \"shape\": %s, "
                   "\"tp0_extent\": [%lld, %lld]}",
-                  j == 0 ? "" : ", ", json_escape(mem.logical).c_str(),
+                  j == 0 ? "" : ", ", escape(mem.logical).c_str(),
                   mem.axis, shape_str(mem.full_shape).c_str(),
                   static_cast<long long>(b), static_cast<long long>(e));
     }
@@ -222,7 +208,7 @@ void print_json(const std::string& prefix, const Manifest& man,
   for (std::size_t i = 0; i < man.layout.replicated.size(); ++i) {
     const orbit::parallel::ReplicatedDesc& rep = man.layout.replicated[i];
     std::printf("    {\"name\": \"%s\", \"shape\": %s}%s\n",
-                json_escape(rep.name).c_str(), shape_str(rep.shape).c_str(),
+                escape(rep.name).c_str(), shape_str(rep.shape).c_str(),
                 i + 1 == man.layout.replicated.size() ? "" : ",");
   }
   std::printf("  ],\n  \"ranks\": [\n");
@@ -232,11 +218,11 @@ void print_json(const std::string& prefix, const Manifest& man,
                 "\"file\": \"%s\", \"crc_ok\": %s, \"records\": %zu, "
                 "\"problems\": [",
                 st.rank, st.d, st.f, st.t,
-                json_escape(rank_file(prefix, st.rank)).c_str(),
+                escape(rank_file(prefix, st.rank)).c_str(),
                 st.crc_ok ? "true" : "false", st.records);
     for (std::size_t j = 0; j < st.problems.size(); ++j) {
       std::printf("%s\"%s\"", j == 0 ? "" : ", ",
-                  json_escape(st.problems[j]).c_str());
+                  escape(st.problems[j]).c_str());
     }
     std::printf("]}%s\n", i + 1 == ranks.size() ? "" : ",");
   }

@@ -24,9 +24,9 @@
 #include <unistd.h>
 
 #include "argparse.hpp"
+#include "json/json.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/json_mini.hpp"
 
 namespace {
 
@@ -76,7 +76,7 @@ int summarize_jsonl(const std::string& path) {
     std::fprintf(stderr, "metrics_report: %s\n", err.c_str());
     return 1;
   }
-  const auto records = orbit::telemetry::json::parse_lines(body);
+  const auto records = orbit::json::parse_lines(body);
   if (records.empty()) {
     std::fprintf(stderr, "metrics_report: %s has no records\n", path.c_str());
     return 1;
@@ -93,6 +93,10 @@ int summarize_jsonl(const std::string& path) {
               path.c_str(), records.size(),
               ts != nullptr && ts->is_number() ? ts->as_number() : -1.0);
   for (const auto& [key, value] : metrics->as_object()) {
+    if (value.is_null()) {  // a non-finite value, written as JSON null
+      std::printf("  %-56s NaN\n", key.c_str());
+      continue;
+    }
     std::printf("  %-56s %.10g\n", key.c_str(),
                 value.is_number() ? value.as_number() : 0.0);
   }
@@ -108,7 +112,7 @@ int convert_jsonl(const std::string& in_path, const std::string& out_path) {
     std::fprintf(stderr, "metrics_report: %s\n", err.c_str());
     return 1;
   }
-  const auto records = orbit::telemetry::json::parse_lines(body);
+  const auto records = orbit::json::parse_lines(body);
   if (records.empty()) {
     std::fprintf(stderr, "metrics_report: %s has no records\n",
                  in_path.c_str());
@@ -125,7 +129,7 @@ int convert_jsonl(const std::string& in_path, const std::string& out_path) {
     char num[40];
     std::snprintf(num, sizeof(num), "%.17g",
                   value.is_number() ? value.as_number() : 0.0);
-    out << key << ' ' << num << '\n';
+    out << key << ' ' << (value.is_null() ? "NaN" : num) << '\n';
   }
   if (out_path.empty() || out_path == "-") {
     std::fputs(out.str().c_str(), stdout);
