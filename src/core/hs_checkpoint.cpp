@@ -1,11 +1,8 @@
 #include "core/hs_checkpoint.hpp"
 
-#include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <filesystem>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "comm/fault.hpp"
@@ -14,13 +11,8 @@
 namespace orbit::core {
 namespace {
 
-std::string rank_file(const std::string& prefix, int rank) {
-  return prefix + ".rank" + std::to_string(rank) + ".bin";
-}
-
-std::string rank_file(const std::string& prefix, const HybridMesh& mesh) {
-  return rank_file(prefix, mesh.global_rank());
-}
+namespace fs = std::filesystem;
+using reshard::rank_file;
 
 std::string meta_file(const std::string& prefix) { return prefix + ".meta"; }
 
@@ -32,135 +24,48 @@ std::string step_prefix(const std::string& prefix, std::int64_t step) {
   return prefix + ".step" + std::to_string(step);
 }
 
-[[noreturn]] void corrupt_meta(const std::string& path,
-                               const std::string& what) {
-  throw std::runtime_error("sharded checkpoint: corrupt metadata " + path +
-                           ": " + what);
-}
-
-/// Write a small text file atomically (tmp + rename), same durability
-/// contract as the binary rank files.
-void write_text_atomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) {
-      throw std::runtime_error("sharded checkpoint: cannot write " + tmp);
-    }
-    os << content;
-    os.flush();
-    if (!os) {
-      os.close();
-      std::remove(tmp.c_str());
-      throw std::runtime_error("sharded checkpoint: write failed for " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("sharded checkpoint: cannot rename " + tmp +
-                             " to " + path);
-  }
-}
-
-struct Meta {
-  /// 1 (param-only era), 2 (full training state), or 3 (full manifest —
-  /// see core/reshard.hpp; the extra lines only the resharding loader
-  /// needs are parsed there, not here).
-  int version = 0;
-  int ddp = 0, fsdp = 0, tp = 0;
-  std::int64_t step = -1;  ///< v2+
+/// One directory entry named `<filename(stem)><digits><rest>`.
+struct Numbered {
+  std::int64_t n;
+  std::string rest;
+  fs::path path;
 };
 
-/// Expect a "<key> <integer>" line. Any deviation — missing line, wrong
-/// key, non-numeric or trailing junk — is reported as corrupt metadata,
-/// never silently read as zero (the bug this parser replaces: a truncated
-/// file produced ddp=fsdp=tp=0 and a misleading "mesh mismatch").
-template <typename Int>
-Int parse_kv_line(std::istream& is, const std::string& path,
-                  const std::string& key) {
-  std::string line;
-  if (!std::getline(is, line)) {
-    corrupt_meta(path, "missing \"" + key + "\" line (truncated file)");
+/// The one `<stem><digits>` walk over `stem`'s directory — generations
+/// (`<prefix>.step<N>.*`) and rank files (`<gen>.rank<R>.bin`). A digit run
+/// that does not fit in int64 is skipped, never wrapped. The listing is
+/// complete before it returns, so callers may unlink what it names
+/// (unlinking during directory iteration can make the iterator skip).
+std::vector<Numbered> scan_numbered(const std::string& stem) {
+  const fs::path p(stem);
+  fs::path dir = p.parent_path();
+  if (dir.empty()) dir = ".";
+  const std::string base = p.filename().string();
+  std::vector<Numbered> found;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() <= base.size() || name.rfind(base, 0) != 0) continue;
+    const char* first = name.data() + base.size();
+    const char* last = name.data() + name.size();
+    std::int64_t n = 0;
+    const auto [end, err] = std::from_chars(first, last, n);
+    if (*first < '0' || *first > '9' || err != std::errc()) continue;
+    found.push_back({n, std::string(end, last), entry.path()});
   }
-  std::istringstream ls(line);
-  std::string k;
-  Int v{};
-  if (!(ls >> k) || k != key) {
-    corrupt_meta(path, "expected key \"" + key + "\", got \"" + line + "\"");
-  }
-  if (!(ls >> v)) {
-    corrupt_meta(path, "key \"" + key + "\" has a non-numeric value: \"" +
-                           line + "\"");
-  }
-  std::string rest;
-  if (ls >> rest) {
-    corrupt_meta(path, "trailing garbage after \"" + key + "\": \"" + line +
-                           "\"");
-  }
-  return v;
-}
-
-Meta read_meta(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
-    throw std::runtime_error("sharded checkpoint: missing metadata file " +
-                             path);
-  }
-  std::string header;
-  if (!std::getline(is, header)) corrupt_meta(path, "empty file");
-  Meta meta;
-  if (header == "orbit-sharded-checkpoint v1") {
-    meta.version = 1;
-  } else if (header == "orbit-sharded-checkpoint v2") {
-    meta.version = 2;
-  } else if (header == "orbit-sharded-checkpoint v3") {
-    meta.version = 3;
-  } else {
-    corrupt_meta(path, "bad header \"" + header + "\"");
-  }
-  meta.ddp = parse_kv_line<int>(is, path, "ddp");
-  meta.fsdp = parse_kv_line<int>(is, path, "fsdp");
-  meta.tp = parse_kv_line<int>(is, path, "tp");
-  if (meta.version >= 2) {
-    meta.step = parse_kv_line<std::int64_t>(is, path, "step");
-  }
-  if (meta.ddp <= 0 || meta.fsdp <= 0 || meta.tp <= 0) {
-    corrupt_meta(path, "non-positive mesh size");
-  }
-  return meta;
+  return found;
 }
 
 /// Delete `<prefix>.rank<R>.bin` files with R >= `world` — leftovers of a
 /// larger mesh that saved this generation prefix before a shrink. Without
 /// this a post-shrink re-save at the same step would strand stale files
 /// whose recorded step matches the fresh metadata, indistinguishable on
-/// disk from live ones. Returns the number removed.
-int remove_stale_rank_files(const std::string& prefix, int world) {
-  namespace fs = std::filesystem;
-  const fs::path p(prefix);
-  fs::path dir = p.parent_path();
-  if (dir.empty()) dir = ".";
-  const std::string stem = p.filename().string() + ".rank";
+/// disk from live ones.
+void remove_stale_rank_files(const std::string& prefix, int world) {
   std::error_code ec;
-  // Collect first, delete after: unlinking during directory iteration can
-  // make the iterator skip entries (readdir semantics).
-  std::vector<fs::path> stale;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(stem, 0) != 0) continue;
-    std::size_t i = stem.size();
-    std::size_t digits = 0;
-    long r = 0;
-    while (i < name.size() && name[i] >= '0' && name[i] <= '9') {
-      r = r * 10 + (name[i] - '0');
-      ++i;
-      ++digits;
-    }
-    if (digits == 0 || name.substr(i) != ".bin") continue;
-    if (r >= world) stale.push_back(entry.path());
+  for (const Numbered& f : scan_numbered(prefix + ".rank")) {
+    if (f.rest == ".bin" && f.n >= world) fs::remove(f.path, ec);
   }
-  for (const fs::path& path : stale) fs::remove(path, ec);
-  return static_cast<int>(stale.size());
 }
 
 }  // namespace
@@ -171,13 +76,14 @@ model::CheckpointData collect_train_state(DistributedOrbitModel& m) {
     data.add_tensor(p->name, p->value);
   }
   m.optimizer().export_state(data);
-  data.add_i64("train.step", m.step());
-  data.add_f64("train.lr", static_cast<double>(m.optimizer().lr()));
-  data.add_f64("scaler.scale", static_cast<double>(m.scaler().scale()));
-  data.add_i64("scaler.streak", m.scaler().good_streak());
-  data.add_i64("scaler.skipped", m.scaler().skipped_steps());
+  data.add_i64(reshard::kStepRecord, m.step());
+  data.add_f64(reshard::kLrRecord, static_cast<double>(m.optimizer().lr()));
+  data.add_f64(reshard::kScaleRecord,
+               static_cast<double>(m.scaler().scale()));
+  data.add_i64(reshard::kStreakRecord, m.scaler().good_streak());
+  data.add_i64(reshard::kSkippedRecord, m.scaler().skipped_steps());
   if (m.attached_rng() != nullptr) {
-    model::add_rng_state(data, "rng.data", *m.attached_rng());
+    model::add_rng_state(data, reshard::kRngRecord, *m.attached_rng());
   }
   return data;
 }
@@ -191,157 +97,61 @@ void save_sharded_checkpoint(const std::string& prefix,
   // may already have written their files, but the generation cannot have
   // committed — a kill here must leave the previous `.latest` loadable.
   comm::fault::on_checkpoint_save(mesh.global_rank(), m.step());
-  model::write_checkpoint(rank_file(prefix, mesh), collect_train_state(m));
+  model::write_checkpoint(rank_file(prefix, mesh.global_rank()),
+                          collect_train_state(m));
   // (3) all rank files are durable before the metadata commits them.
   m.world().barrier();
   if (mesh.global_rank() == 0) {
     // v3 metadata is the full reshard manifest (core/reshard.hpp) — same
     // leading lines as v2 plus the mesh-independent shard layout, so this
     // generation can later be loaded on any compatible mesh.
-    write_text_atomic(meta_file(prefix),
-                      reshard::manifest_text(reshard::build_manifest(m)));
+    const reshard::Manifest man = reshard::build_manifest(m);
+    model::write_file_atomic(meta_file(prefix), reshard::manifest_text(man));
     // Mixed-shape histories: if a larger mesh saved this prefix earlier
     // (pre-shrink save at the same step), its extra rank files are now
     // stale — drop them so the generation on disk is exactly this mesh's.
-    remove_stale_rank_files(prefix, mesh.ddp_size * mesh.fsdp_size *
-                                        mesh.tp_size);
+    remove_stale_rank_files(prefix, man.mesh.world());
   }
   // (5) nobody returns (and nobody can start a resume) before the commit.
   m.world().barrier();
-}
-
-void load_sharded_checkpoint(const std::string& prefix,
-                             DistributedOrbitModel& m) {
-  const HybridMesh& mesh = m.mesh();
-  const Meta meta = read_meta(meta_file(prefix));
-  if (meta.ddp != mesh.ddp_size || meta.fsdp != mesh.fsdp_size ||
-      meta.tp != mesh.tp_size) {
-    // Cross-mesh resume: a v3 generation carries the full manifest, so the
-    // resharding loader can gather-by-name and re-slice for this mesh.
-    // Pre-manifest metadata records only the factorization — nothing to
-    // reshard from, and that is a metadata limitation, not a mesh one.
-    if (meta.version >= 3) {
-      reshard::load_resharded(prefix, m);
-      return;
-    }
-    throw reshard::ManifestIncompleteError(
-        "sharded checkpoint: mesh mismatch — checkpoint was written with "
-        "ddp=" + std::to_string(meta.ddp) +
-        " fsdp=" + std::to_string(meta.fsdp) +
-        " tp=" + std::to_string(meta.tp) + " but this run is ddp=" +
-        std::to_string(mesh.ddp_size) + " fsdp=" +
-        std::to_string(mesh.fsdp_size) + " tp=" +
-        std::to_string(mesh.tp_size) + ", and v" +
-        std::to_string(meta.version) +
-        " metadata carries no manifest to reshard from (re-save on the "
-        "original mesh to upgrade to v3)");
-  }
-  const std::string path = rank_file(prefix, mesh);
-  const model::CheckpointData data = model::read_checkpoint(path);
-  const std::vector<model::Param*> params = m.all_params();
-
-  if (!data.contains("adamw.t")) {
-    // v1-era / param-only file: weights restore read-only, optimizer cold.
-    model::check_params(data, params);
-    model::apply_params(data, params);
-    return;
-  }
-
-  // Full training state: validate every record before mutating anything.
-  model::check_params(data, params);
-  m.optimizer().check_state(data);
-  const std::int64_t step = data.i64("train.step");
-  const double lr = data.f64("train.lr");
-  const double scale = data.f64("scaler.scale");
-  const std::int64_t streak = data.i64("scaler.streak");
-  const std::int64_t skipped = data.i64("scaler.skipped");
-  if (meta.version >= 2 && step != meta.step) {
-    throw std::runtime_error(
-        "sharded checkpoint: torn generation — " + path + " is at step " +
-        std::to_string(step) + " but the metadata committed step " +
-        std::to_string(meta.step) +
-        " (a save was interrupted between ranks)");
-  }
-  if (m.attached_rng() != nullptr && !data.contains("rng.data")) {
-    throw std::runtime_error(
-        "sharded checkpoint: an RNG is attached but " + path +
-        " carries no rng.data record — it was saved without one");
-  }
-
-  model::apply_params(data, params);
-  m.optimizer().import_state(data);
-  m.optimizer().set_lr(static_cast<float>(lr));
-  m.scaler().set_state(static_cast<float>(scale), streak, skipped);
-  m.set_step(step);
-  if (m.attached_rng() != nullptr) {
-    model::read_rng_state(data, "rng.data", *m.attached_rng());
-  }
 }
 
 void save_step_checkpoint(const std::string& prefix,
                           DistributedOrbitModel& m, int keep_last) {
   save_sharded_checkpoint(step_prefix(prefix, m.step()), m);
   if (m.mesh().global_rank() == 0) {
-    write_text_atomic(latest_file(prefix),
-                      "step " + std::to_string(m.step()) + "\n");
+    model::write_file_atomic(latest_file(prefix),
+                             "step " + std::to_string(m.step()) + "\n");
     if (keep_last > 0) prune_checkpoints(prefix, keep_last);
   }
   // The generation is only "latest" once the pointer rewrite is durable.
   m.world().barrier();
 }
 
-std::int64_t latest_checkpoint_step(const std::string& prefix) {
-  std::ifstream is(latest_file(prefix));
-  if (!is) return -1;
-  return parse_kv_line<std::int64_t>(is, latest_file(prefix), "step");
-}
-
 std::vector<std::int64_t> list_checkpoint_steps(const std::string& prefix) {
-  namespace fs = std::filesystem;
-  const fs::path p(prefix);
-  fs::path dir = p.parent_path();
-  if (dir.empty()) dir = ".";
-  const std::string stem = p.filename().string() + ".step";
   std::set<std::int64_t> steps;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(stem, 0) != 0) continue;
-    // `<stem><digits>.<meta|rankR.bin>` — digits must run to a '.', so
-    // `run.step12.meta` matches but `run.step12extra` or `run.stepX` don't.
-    std::size_t i = stem.size();
-    std::size_t digits = 0;
-    std::int64_t step = 0;
-    while (i < name.size() && name[i] >= '0' && name[i] <= '9') {
-      step = step * 10 + (name[i] - '0');
-      ++i;
-      ++digits;
-    }
-    if (digits == 0 || i >= name.size() || name[i] != '.') continue;
-    steps.insert(step);
+  for (const Numbered& f : scan_numbered(prefix + ".step")) {
+    // `run.step12.meta` is a generation file; `run.step12extra` is not.
+    if (!f.rest.empty() && f.rest[0] == '.') steps.insert(f.n);
   }
   return {steps.begin(), steps.end()};
 }
 
 std::int64_t newest_intact_step(const std::string& prefix) {
-  namespace fs = std::filesystem;
   const std::vector<std::int64_t> steps = list_checkpoint_steps(prefix);
   for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
     const std::string gen = step_prefix(prefix, *it);
-    Meta meta;
+    reshard::Manifest man;
     try {
-      meta = read_meta(meta_file(gen));
+      man = reshard::read_sidecar(meta_file(gen));
     } catch (const std::exception&) {
       continue;  // missing or corrupt metadata: not a committed generation
     }
-    if (meta.version >= 2 && meta.step != *it) continue;  // misfiled
+    if (man.version >= 2 && man.step != *it) continue;  // misfiled
     bool intact = true;
     std::error_code ec;
-    for (int r = 0; r < meta.ddp * meta.fsdp * meta.tp; ++r) {
-      if (!fs::exists(rank_file(gen, r), ec)) {
-        intact = false;
-        break;
-      }
+    for (int r = 0; r < man.mesh.world() && intact; ++r) {
+      intact = fs::exists(rank_file(gen, r), ec);
     }
     if (intact) return *it;
   }
@@ -352,7 +162,6 @@ int prune_checkpoints(const std::string& prefix, int keep_last) {
   if (keep_last <= 0) {
     throw std::invalid_argument("prune_checkpoints: keep_last must be > 0");
   }
-  namespace fs = std::filesystem;
   const std::vector<std::int64_t> steps = list_checkpoint_steps(prefix);
   // Committed generation: protected unconditionally, even when it is older
   // than every survivor (e.g. newer saves crashed before committing).
@@ -372,19 +181,12 @@ int prune_checkpoints(const std::string& prefix, int keep_last) {
   for (std::size_t i = 0; i < keep_from; ++i) {
     if (steps[i] == committed) continue;
     const std::string gen = step_prefix(prefix, steps[i]);
-    const fs::path meta(meta_file(gen));
     std::error_code ec;
-    fs::remove(meta, ec);
-    // Rank files: scan the directory rather than guessing the world size
-    // (collect first — unlinking mid-iteration can skip entries).
-    const fs::path dir = meta.parent_path().empty() ? "." : meta.parent_path();
-    const std::string stem = fs::path(gen).filename().string() + ".rank";
-    std::vector<fs::path> victims;
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-      const std::string name = entry.path().filename().string();
-      if (name.rfind(stem, 0) == 0) victims.push_back(entry.path());
+    fs::remove(meta_file(gen), ec);
+    // Rank files: scan rather than trust a world size (tmp leftovers too).
+    for (const Numbered& f : scan_numbered(gen + ".rank")) {
+      fs::remove(f.path, ec);
     }
-    for (const fs::path& path : victims) fs::remove(path, ec);
     ++removed;
   }
   // Mesh-aware repair of the survivors: a mixed-shape history (elastic
@@ -394,8 +196,8 @@ int prune_checkpoints(const std::string& prefix, int keep_last) {
   for (std::size_t i = keep_from; i < steps.size(); ++i) {
     const std::string gen = step_prefix(prefix, steps[i]);
     try {
-      const Meta meta = read_meta(meta_file(gen));
-      remove_stale_rank_files(gen, meta.ddp * meta.fsdp * meta.tp);
+      remove_stale_rank_files(
+          gen, reshard::read_sidecar(meta_file(gen)).mesh.world());
     } catch (const std::exception&) {
       // Torn or corrupt survivor: leave its files for postmortem.
     }
@@ -417,8 +219,7 @@ std::int64_t resume_from_latest(const std::string& prefix,
 
 std::int64_t resume_if_available(const std::string& prefix,
                                  DistributedOrbitModel& m) {
-  if (latest_checkpoint_step(prefix) < 0) return 0;
-  return resume_from_latest(prefix, m);
+  return latest_checkpoint_step(prefix) < 0 ? 0 : resume_from_latest(prefix, m);
 }
 
 }  // namespace orbit::core

@@ -34,10 +34,13 @@
 /// Metadata versions: v3 (current) metadata is the full reshard manifest
 /// (core/reshard.hpp) — mesh factorization, step, masters/RNG flags, and
 /// the mesh-independent shard layout — so a committed generation can be
-/// loaded on a *different* mesh via the resharding loader; the same-mesh
-/// fast path parses only the leading lines. v2 metadata (factorization +
-/// step only) still loads on the identical mesh; a cross-mesh load of it
-/// raises `reshard::ManifestIncompleteError`.
+/// loaded on a *different* mesh via the resharding loader. v2 metadata
+/// (factorization + step only) still loads on the identical mesh; a
+/// cross-mesh load of it raises `reshard::ManifestIncompleteError`. The
+/// format is owned by core/reshard: one sidecar reader for every version,
+/// and one validate-then-apply that both loaders end in. The loaders and
+/// the `.latest` reader are defined in reshard.cpp, saving and retention
+/// in hs_checkpoint.cpp.
 ///
 /// Legacy: v1 checkpoints (param-only rank files, "v1" metadata header)
 /// still load read-only — weights restored, optimizer left cold.
@@ -79,13 +82,15 @@ void save_step_checkpoint(const std::string& prefix,
                           DistributedOrbitModel& m, int keep_last = 0);
 
 /// Step of the last committed generation under `prefix`, or -1 when no
-/// `<prefix>.latest` exists. Throws std::runtime_error when the pointer
-/// file exists but is corrupt.
+/// `<prefix>.latest` exists. Throws `reshard::CheckpointCorruptionError`
+/// (a std::runtime_error) when the pointer file exists but is corrupt —
+/// including a negative step.
 std::int64_t latest_checkpoint_step(const std::string& prefix);
 
 /// Steps of every generation `<prefix>.step<K>` present on disk (committed
-/// or torn — anything with a metadata or rank file), ascending. The
-/// supervisor's progress introspection and the pruner's inventory.
+/// or torn — anything with a metadata or rank file), ascending. A K too
+/// long for int64 is not a generation and is ignored. The supervisor's
+/// progress introspection and the pruner's inventory.
 std::vector<std::int64_t> list_checkpoint_steps(const std::string& prefix);
 
 /// Newest generation that looks fully committed from disk alone: readable

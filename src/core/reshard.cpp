@@ -3,10 +3,13 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "core/distributed_model.hpp"
+#include "core/hs_checkpoint.hpp"
 #include "env/env.hpp"
 #include "model/checkpoint_io.hpp"
 #include "telemetry/registry.hpp"
@@ -15,22 +18,22 @@
 namespace orbit::core::reshard {
 namespace {
 
-constexpr const char* kHeaderV3 = "orbit-sharded-checkpoint v3";
+constexpr const char* kHeader = "orbit-sharded-checkpoint v";
 constexpr const char* kShapesVar = "ORBIT_ELASTIC_SHAPES";
-
-std::string rank_file(const std::string& prefix, int rank) {
-  return prefix + ".rank" + std::to_string(rank) + ".bin";
-}
+constexpr const char* kShapeHint =
+    "(want DxFxT, each factor >= 1 and world <= 1048576, e.g. \"2x2x1\")";
 
 [[noreturn]] void corrupt(const std::string& path, const std::string& what) {
-  throw CheckpointCorruptionError("reshard: corrupt manifest " + path + ": " +
-                                  what);
+  throw CheckpointCorruptionError("sharded checkpoint: corrupt metadata " +
+                                  path + ": " + what);
 }
 
-/// Strict "<key> <non-negative integer>" line, mirroring the hs_checkpoint
-/// metadata parser but reporting through the typed corruption error.
-std::int64_t manifest_kv(std::istream& is, const std::string& path,
-                         const std::string& key) {
+/// Strict "<key> <integer>" line. Any deviation — missing line, wrong key,
+/// non-numeric value or trailing junk — is corruption, never a silent zero
+/// (a truncated sidecar once read as ddp=fsdp=tp=0 and reported a bogus
+/// mesh mismatch).
+std::int64_t read_kv(std::istream& is, const std::string& path,
+                     const std::string& key) {
   std::string line;
   if (!std::getline(is, line)) {
     corrupt(path, "missing \"" + key + "\" line (truncated file)");
@@ -52,19 +55,30 @@ std::int64_t manifest_kv(std::istream& is, const std::string& path,
   return v;
 }
 
-/// Read a shape's "<ndims> <d0> <d1> ..." tail from a manifest line.
+/// The mesh-size rule (kMaxMeshWorld), checked without overflow.
+bool mesh_fits(std::int64_t ddp, std::int64_t fsdp, std::int64_t tp) {
+  return ddp >= 1 && fsdp >= 1 && tp >= 1 && ddp <= kMaxMeshWorld &&
+         fsdp <= kMaxMeshWorld / ddp && tp <= kMaxMeshWorld / (ddp * fsdp);
+}
+
+/// Read a shape's "<ndims> <d0> <d1> ..." tail from a manifest line. The
+/// element count is bounded (2^40) so the shard arithmetic every loader
+/// and the inspector run on the layout cannot overflow.
 std::vector<std::int64_t> read_dims(std::istringstream& ls,
                                     const std::string& path,
                                     const std::string& line) {
+  constexpr std::int64_t kMaxNumel = std::int64_t{1} << 40;
   std::int64_t nd = -1;
   if (!(ls >> nd) || nd < 1 || nd > 8) {
     corrupt(path, "bad dimension count in \"" + line + "\"");
   }
   std::vector<std::int64_t> dims(static_cast<std::size_t>(nd));
+  std::int64_t numel = 1;
   for (auto& d : dims) {
-    if (!(ls >> d) || d <= 0) {
+    if (!(ls >> d) || d <= 0 || d > kMaxNumel / numel) {
       corrupt(path, "bad dimension in \"" + line + "\"");
     }
+    numel *= d;
   }
   return dims;
 }
@@ -78,104 +92,29 @@ std::string shape_str(const std::vector<std::int64_t>& shape) {
   return s + "]";
 }
 
-/// The three record-name families the gather/re-slice pass moves: parameter
-/// values, Adam first and second moments, and (bf16 mode) f32 masters. Each
-/// family's records shard identically, so one reassembly routine serves all.
-std::vector<std::string> record_families(bool masters) {
-  std::vector<std::string> fams = {"", "adamw.m:", "adamw.v:"};
-  if (masters) fams.push_back("adamw.master:");
-  return fams;
+/// The loaders' use of `rank_file_problems`: the first problem, thrown.
+void check_rank_file(const model::CheckpointData& data,
+                     const std::string& path, const Manifest& man) {
+  const std::vector<std::string> problems = rank_file_problems(data, man);
+  if (!problems.empty()) {
+    throw CheckpointCorruptionError("sharded checkpoint: " + path + ": " +
+                                    problems.front());
+  }
 }
 
-/// Lazily-read cache of source rank files, validated on first touch: CRC
-/// and structure via read_checkpoint, then generation consistency (the
-/// file's recorded step must equal the manifest's — a torn save) and the
-/// full-state marker.
-class SourceFiles {
- public:
-  SourceFiles(std::string prefix, const Manifest& man)
-      : prefix_(std::move(prefix)), man_(man) {}
-
-  const model::CheckpointData& at(int rank) {
-    auto it = cache_.find(rank);
-    if (it != cache_.end()) return it->second;
-    const std::string path = rank_file(prefix_, rank);
-    model::CheckpointData data;
-    try {
-      data = model::read_checkpoint(path);
-    } catch (const ReshardError&) {
-      throw;
-    } catch (const std::runtime_error& e) {
-      throw CheckpointCorruptionError(std::string("reshard: ") + e.what());
-    }
-    if (!data.contains("adamw.t") || !data.contains("train.step")) {
-      throw CheckpointCorruptionError(
-          "reshard: " + path +
-          " is not a full-training-state rank file (missing adamw.t / "
-          "train.step records)");
-    }
-    const std::int64_t step = data.i64("train.step");
-    if (step != man_.step) {
-      throw CheckpointCorruptionError(
-          "reshard: torn generation — " + path + " is at step " +
-          std::to_string(step) + " but the manifest committed step " +
-          std::to_string(man_.step));
-    }
-    return cache_.emplace(rank, std::move(data)).first->second;
-  }
-
- private:
-  std::string prefix_;
-  const Manifest& man_;
-  std::map<int, model::CheckpointData> cache_;
-};
-
-/// Fetch record `name` from `data` as a tensor with exactly `numel`
-/// elements, classifying every failure as corruption.
-Tensor record_tensor(const model::CheckpointData& data,
-                     const std::string& file_hint, const std::string& name,
-                     std::int64_t numel) {
-  if (!data.contains(name)) {
-    throw CheckpointCorruptionError("reshard: " + file_hint +
-                                    " is missing record \"" + name + "\"");
-  }
-  Tensor t;
-  try {
-    t = data.tensor(name);
-  } catch (const std::runtime_error& e) {
-    throw CheckpointCorruptionError(std::string("reshard: ") + e.what());
-  }
-  if (t.numel() != numel) {
-    throw CheckpointCorruptionError(
-        "reshard: record \"" + name + "\" in " + file_hint + " has " +
-        std::to_string(t.numel()) + " elements, manifest implies " +
-        std::to_string(numel));
-  }
-  return t;
-}
-
-/// Copy a scalar/bytes record verbatim from a source file into `out`,
-/// classifying absence as corruption.
-void copy_record(const model::CheckpointData& src, const std::string& hint,
-                 const std::string& name, model::CheckpointData& out) {
-  if (!src.contains(name)) {
-    throw CheckpointCorruptionError("reshard: " + hint +
-                                    " is missing record \"" + name + "\"");
-  }
-  out.add_record(src.at(name));
-}
+/// A source rank file by global rank, read and checked on first use.
+using SourceFiles = std::function<const model::CheckpointData&(int)>;
 
 /// Reassemble one family's logical tensors for one sharded set from the
 /// source mesh's d=0 plane: concat the F FSDP shards per source TP rank
 /// into the flat buffer, unpack members by pack-order offset, concat the
 /// TP slices along each member's slice axis.
-std::vector<Tensor> gather_set(SourceFiles& files, const Manifest& man,
+std::vector<Tensor> gather_set(const SourceFiles& files, const Manifest& man,
                                const parallel::ShardedSetDesc& set,
                                const std::string& family) {
   const int S = man.mesh.tp;
   const int F = man.mesh.fsdp;
   const std::string rec = family + set.record_name();
-  const std::int64_t shard_n = set.shard_size(S, F);
   // Per source TP rank: the member slices unpacked from that rank's flat.
   std::vector<std::vector<Tensor>> slices(set.members.size());
   for (int t = 0; t < S; ++t) {
@@ -183,9 +122,7 @@ std::vector<Tensor> gather_set(SourceFiles& files, const Manifest& man,
     shards.reserve(static_cast<std::size_t>(F));
     for (int f = 0; f < F; ++f) {
       const int rank = f * S + t;  // (d=0, f, t)
-      shards.push_back(record_tensor(files.at(rank),
-                                     rank_file("", rank).substr(1), rec,
-                                     shard_n));
+      shards.push_back(files(rank).tensor(rec));
     }
     const Tensor flat = concat(shards, 0);
     for (std::size_t j = 0; j < set.members.size(); ++j) {
@@ -227,6 +164,49 @@ Tensor reslice_set(const parallel::ShardedSetDesc& set,
                static_cast<std::int64_t>(f + 1) * shard_n);
 }
 
+/// What the load transaction does with an attached data RNG.
+enum class RngRule {
+  kRequire,  ///< same mesh: the rank file must carry this rank's stream
+  kIfSaved,  ///< cross mesh: restore a saved lineage, keep a fresh one
+};
+
+/// The one load transaction both loaders end in: validate full-state `data`
+/// (named `source` in errors) against `m`'s parameters and optimizer, read
+/// the scalars and decode the RNG state, and only then apply params,
+/// optimizer state, LR, scaler, step and RNG. A throw leaves `m` bitwise
+/// untouched.
+void apply_train_state(const model::CheckpointData& data,
+                       const std::string& source, DistributedOrbitModel& m,
+                       RngRule rng) {
+  const std::vector<model::Param*> params = m.all_params();
+  model::check_params(data, params);
+  m.optimizer().check_state(data);
+  const std::int64_t step = data.i64(kStepRecord);
+  const double lr = data.f64(kLrRecord);
+  const double scale = data.f64(kScaleRecord);
+  const std::int64_t streak = data.i64(kStreakRecord);
+  const std::int64_t skipped = data.i64(kSkippedRecord);
+  // Decode into a copy so a damaged rng.data throws before any mutation.
+  std::optional<Rng> stream;
+  if (m.attached_rng() != nullptr) {
+    if (data.contains(kRngRecord)) {
+      stream = *m.attached_rng();
+      model::read_rng_state(data, kRngRecord, *stream);
+    } else if (rng == RngRule::kRequire) {
+      throw std::runtime_error(
+          "sharded checkpoint: an RNG is attached but " + source +
+          " carries no rng.data record — it was saved without one");
+    }
+  }
+
+  model::apply_params(data, params);
+  m.optimizer().import_state(data);
+  m.optimizer().set_lr(static_cast<float>(lr));
+  m.scaler().set_state(static_cast<float>(scale), streak, skipped);
+  m.set_step(step);
+  if (stream.has_value()) *m.attached_rng() = *stream;
+}
+
 }  // namespace
 
 std::string MeshShape::str() const {
@@ -237,9 +217,9 @@ std::string MeshShape::str() const {
 MeshShape parse_mesh_shape(const std::string& text) {
   const auto bad = [&text]() -> int {
     throw std::invalid_argument("parse_mesh_shape: bad mesh shape \"" + text +
-                                "\" (want DxFxT, e.g. \"2x2x1\")");
+                                "\" " + kShapeHint);
   };
-  int out[3] = {0, 0, 0};
+  std::int64_t out[3] = {0, 0, 0};
   std::size_t i = 0;
   for (int part = 0; part < 3; ++part) {
     if (part > 0) {
@@ -247,18 +227,19 @@ MeshShape parse_mesh_shape(const std::string& text) {
       ++i;
     }
     std::size_t digits = 0;
-    long v = 0;
+    std::int64_t v = 0;
     while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
       v = v * 10 + (text[i] - '0');
-      if (v > 1 << 20) bad();
+      if (v > kMaxMeshWorld) bad();  // also bounds the accumulation
       ++i;
       ++digits;
     }
-    if (digits == 0 || v < 1) bad();
-    out[part] = static_cast<int>(v);
+    if (digits == 0) bad();
+    out[part] = v;
   }
-  if (i != text.size()) bad();
-  return MeshShape{out[0], out[1], out[2]};
+  if (i != text.size() || !mesh_fits(out[0], out[1], out[2])) bad();
+  return MeshShape{static_cast<int>(out[0]), static_cast<int>(out[1]),
+                   static_cast<int>(out[2])};
 }
 
 std::vector<MeshShape> elastic_shapes_from_env() {
@@ -275,7 +256,7 @@ std::vector<MeshShape> elastic_shapes_from_env() {
       shapes.push_back(parse_mesh_shape(tok));
     } catch (const std::invalid_argument&) {
       env::fail(kShapesVar, s,
-                "bad mesh shape \"" + tok + "\" (want DxFxT, e.g. \"2x2x1\")");
+                "bad mesh shape \"" + tok + "\" " + kShapeHint);
     }
     if (comma == std::string::npos) break;
     start = comma + 1;
@@ -285,9 +266,9 @@ std::vector<MeshShape> elastic_shapes_from_env() {
 
 std::string manifest_text(const Manifest& m) {
   std::ostringstream os;
-  // First five lines match the v2 layout exactly (header aside), so the
-  // same-mesh fast path's metadata parser needs no new knowledge.
-  os << kHeaderV3 << "\n"
+  // The leading key lines are v2's layout (header aside); v3 appends the
+  // flags and the shard layout.
+  os << kHeader << 3 << "\n"
      << "ddp " << m.mesh.ddp << "\nfsdp " << m.mesh.fsdp << "\ntp "
      << m.mesh.tp << "\nstep " << m.step << "\nmasters " << (m.masters ? 1 : 0)
      << "\nrng " << (m.rng ? 1 : 0) << "\n";
@@ -310,42 +291,43 @@ std::string manifest_text(const Manifest& m) {
   return os.str();
 }
 
-Manifest read_manifest(const std::string& path) {
+Manifest read_sidecar(const std::string& path) {
   std::ifstream is(path);
   if (!is) {
-    throw std::runtime_error("reshard: missing metadata file " + path);
+    throw std::runtime_error("sharded checkpoint: missing metadata file " +
+                             path);
   }
   std::string header;
   if (!std::getline(is, header)) corrupt(path, "empty file");
-  if (header == "orbit-sharded-checkpoint v1" ||
-      header == "orbit-sharded-checkpoint v2") {
-    throw ManifestIncompleteError(
-        "reshard: " + path + " is a pre-manifest (" +
-        header.substr(header.size() - 2) +
-        ") sidecar — it records only the mesh factorization, not the "
-        "per-record layout a cross-mesh load needs; re-save on the source "
-        "mesh to upgrade");
-  }
-  if (header != kHeaderV3) corrupt(path, "bad header \"" + header + "\"");
-
   Manifest m;
-  m.mesh.ddp = static_cast<int>(manifest_kv(is, path, "ddp"));
-  m.mesh.fsdp = static_cast<int>(manifest_kv(is, path, "fsdp"));
-  m.mesh.tp = static_cast<int>(manifest_kv(is, path, "tp"));
-  m.step = manifest_kv(is, path, "step");
-  if (m.mesh.ddp < 1 || m.mesh.fsdp < 1 || m.mesh.tp < 1) {
-    corrupt(path, "non-positive mesh size");
+  m.version = 0;
+  for (int v = 1; v <= 3; ++v) {
+    if (header == kHeader + std::to_string(v)) m.version = v;
   }
+  if (m.version == 0) corrupt(path, "bad header \"" + header + "\"");
+  const std::int64_t ddp = read_kv(is, path, "ddp");
+  const std::int64_t fsdp = read_kv(is, path, "fsdp");
+  const std::int64_t tp = read_kv(is, path, "tp");
+  if (!mesh_fits(ddp, fsdp, tp)) {
+    corrupt(path, "mesh size out of range (each factor >= 1, world <= " +
+                      std::to_string(kMaxMeshWorld) + ")");
+  }
+  m.mesh = MeshShape{static_cast<int>(ddp), static_cast<int>(fsdp),
+                     static_cast<int>(tp)};
+  if (m.version == 1) return m;
+  m.step = read_kv(is, path, "step");
   if (m.step < 0) corrupt(path, "negative step");
-  const std::int64_t masters = manifest_kv(is, path, "masters");
-  const std::int64_t rng = manifest_kv(is, path, "rng");
+  if (m.version == 2) return m;
+
+  const std::int64_t masters = read_kv(is, path, "masters");
+  const std::int64_t rng = read_kv(is, path, "rng");
   if ((masters != 0 && masters != 1) || (rng != 0 && rng != 1)) {
     corrupt(path, "masters/rng flags must be 0 or 1");
   }
   m.masters = masters == 1;
   m.rng = rng == 1;
 
-  const std::int64_t nsets = manifest_kv(is, path, "sets");
+  const std::int64_t nsets = read_kv(is, path, "sets");
   if (nsets < 0 || nsets > 100000) corrupt(path, "implausible set count");
   for (std::int64_t i = 0; i < nsets; ++i) {
     std::string line;
@@ -380,7 +362,7 @@ Manifest read_manifest(const std::string& path) {
     m.layout.sets.push_back(std::move(set));
   }
 
-  const std::int64_t nrep = manifest_kv(is, path, "replicated");
+  const std::int64_t nrep = read_kv(is, path, "replicated");
   if (nrep < 0 || nrep > 100000) corrupt(path, "implausible replicated count");
   for (std::int64_t i = 0; i < nrep; ++i) {
     std::string line;
@@ -401,6 +383,78 @@ Manifest read_manifest(const std::string& path) {
     }
   }
   return m;
+}
+
+Manifest read_manifest(const std::string& path) {
+  Manifest m = read_sidecar(path);
+  if (m.version < 3) {
+    throw ManifestIncompleteError(
+        "reshard: " + path + " is a pre-manifest (v" +
+        std::to_string(m.version) +
+        ") sidecar — it records only the mesh factorization, not the "
+        "per-record layout a cross-mesh load needs; re-save on the source "
+        "mesh to upgrade");
+  }
+  return m;
+}
+
+std::string rank_file(const std::string& prefix, int rank) {
+  return prefix + ".rank" + std::to_string(rank) + ".bin";
+}
+
+std::vector<std::string> record_families(bool masters) {
+  std::vector<std::string> fams = {"", "adamw.m:", "adamw.v:"};
+  if (masters) fams.push_back("adamw.master:");
+  return fams;
+}
+
+std::vector<std::string> rank_file_problems(const model::CheckpointData& data,
+                                            const Manifest& man) {
+  if (!data.contains(kOptStepRecord) || !data.contains(kStepRecord)) {
+    return {"not a full-training-state rank file (missing adamw.t / "
+            "train.step records)"};
+  }
+  std::vector<std::string> problems;
+  const std::int64_t step = data.i64(kStepRecord);
+  if (man.version >= 2 && step != man.step) {
+    problems.push_back("torn generation — the file is at step " +
+                       std::to_string(step) +
+                       " but the metadata committed step " +
+                       std::to_string(man.step) +
+                       " (a save was interrupted between ranks)");
+  }
+  if (man.version < 3) return problems;
+  // Inventory against the v3 layout; `numel` < 0 checks presence only.
+  const auto expect = [&](const std::string& name, std::int64_t numel) {
+    if (!data.contains(name)) {
+      problems.push_back("missing record \"" + name + "\"");
+      return;
+    }
+    if (numel < 0) return;
+    const model::CheckpointRecord& rec = data.at(name);
+    const std::size_t got = rec.payload.size() / sizeof(float);
+    if (rec.dtype != "f32") {
+      problems.push_back("record \"" + name + "\" has dtype " + rec.dtype +
+                         ", expected f32");
+    } else if (got != static_cast<std::size_t>(numel)) {
+      problems.push_back("record \"" + name + "\" has " +
+                         std::to_string(got) + " elements, manifest implies " +
+                         std::to_string(numel));
+    }
+  };
+  const std::vector<std::string> families = record_families(man.masters);
+  for (const parallel::ShardedSetDesc& set : man.layout.sets) {
+    const std::int64_t n = set.shard_size(man.mesh.tp, man.mesh.fsdp);
+    for (const std::string& fam : families) expect(fam + set.record_name(), n);
+  }
+  for (const parallel::ReplicatedDesc& rep : man.layout.replicated) {
+    std::int64_t n = 1;
+    for (std::int64_t d : rep.shape) n *= d;
+    for (const std::string& fam : families) expect(fam + rep.name, n);
+  }
+  for (const char* scalar : kScalarRecords) expect(scalar, -1);
+  if (man.rng) expect(kRngRecord, -1);
+  return problems;
 }
 
 Manifest build_manifest(DistributedOrbitModel& m) {
@@ -491,8 +545,21 @@ void load_resharded(const std::string& prefix, DistributedOrbitModel& m) {
   // --- Gather + re-slice into a synthetic rank file. All reads validate
   // (CRC, step consistency, record sizes) as they happen; the model stays
   // untouched throughout. ------------------------------------------------
-  SourceFiles files(prefix, man);
-  const model::CheckpointData& rank0 = files.at(0);
+  std::map<int, model::CheckpointData> cache;
+  const SourceFiles files = [&](int rank) -> const model::CheckpointData& {
+    auto it = cache.find(rank);
+    if (it != cache.end()) return it->second;
+    const std::string path = rank_file(prefix, rank);
+    model::CheckpointData data;
+    try {
+      data = model::read_checkpoint(path);
+    } catch (const std::runtime_error& e) {
+      throw CheckpointCorruptionError(std::string("reshard: ") + e.what());
+    }
+    check_rank_file(data, path, man);
+    return cache.emplace(rank, std::move(data)).first->second;
+  };
+  const model::CheckpointData& rank0 = files(0);
   model::CheckpointData synth;
   const std::vector<std::string> families = record_families(man.masters);
   for (const parallel::ShardedSetDesc& set : want.sets) {
@@ -503,17 +570,12 @@ void load_resharded(const std::string& prefix, DistributedOrbitModel& m) {
                                    tgt.fsdp));
     }
   }
-  const std::string hint0 = rank_file(prefix, 0);
   for (const parallel::ReplicatedDesc& rep : want.replicated) {
     for (const std::string& fam : families) {
-      copy_record(rank0, hint0, fam + rep.name, synth);
+      synth.add_record(rank0.at(fam + rep.name));
     }
   }
-  for (const char* scalar : {"adamw.t", "train.step", "train.lr",
-                             "scaler.scale", "scaler.streak",
-                             "scaler.skipped"}) {
-    copy_record(rank0, hint0, scalar, synth);
-  }
+  for (const char* scalar : kScalarRecords) synth.add_record(rank0.at(scalar));
   if (m.attached_rng() != nullptr) {
     // RNG lineage: this rank's data shard keeps the saved stream when that
     // lineage existed under the source mesh (TP peers share a stream, so
@@ -523,29 +585,13 @@ void load_resharded(const std::string& prefix, DistributedOrbitModel& m) {
     const int shard = mesh.data_shard();
     if (shard < man.mesh.ddp * man.mesh.fsdp) {
       const int src = shard * man.mesh.tp;
-      copy_record(files.at(src), rank_file(prefix, src), "rng.data", synth);
+      synth.add_record(files(src).at(kRngRecord));
     }
   }
 
-  // --- Transaction boundary: full validation of the synthetic state, then
-  // mutation. A throw above or here leaves everything bitwise intact. -----
-  const std::vector<model::Param*> params = m.all_params();
-  model::check_params(synth, params);
-  m.optimizer().check_state(synth);
-  const std::int64_t step = synth.i64("train.step");
-  const double lr = synth.f64("train.lr");
-  const double scale = synth.f64("scaler.scale");
-  const std::int64_t streak = synth.i64("scaler.streak");
-  const std::int64_t skipped = synth.i64("scaler.skipped");
-
-  model::apply_params(synth, params);
-  m.optimizer().import_state(synth);
-  m.optimizer().set_lr(static_cast<float>(lr));
-  m.scaler().set_state(static_cast<float>(scale), streak, skipped);
-  m.set_step(step);
-  if (m.attached_rng() != nullptr && synth.contains("rng.data")) {
-    model::read_rng_state(synth, "rng.data", *m.attached_rng());
-  }
+  // --- Transaction boundary: the shared validate-then-apply. A throw above
+  // or here leaves everything bitwise intact. -------------------------------
+  apply_train_state(synth, prefix, m, RngRule::kIfSaved);
 
   const double ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
@@ -557,3 +603,51 @@ void load_resharded(const std::string& prefix, DistributedOrbitModel& m) {
 }
 
 }  // namespace orbit::core::reshard
+
+namespace orbit::core {
+
+std::int64_t latest_checkpoint_step(const std::string& prefix) {
+  const std::string path = prefix + ".latest";
+  std::ifstream is(path);
+  if (!is) return -1;
+  const std::int64_t step = reshard::read_kv(is, path, "step");
+  if (step < 0) reshard::corrupt(path, "negative step");
+  return step;
+}
+
+void load_sharded_checkpoint(const std::string& prefix,
+                             DistributedOrbitModel& m) {
+  const HybridMesh& mesh = m.mesh();
+  const reshard::Manifest man = reshard::read_sidecar(prefix + ".meta");
+  const reshard::MeshShape here{mesh.ddp_size, mesh.fsdp_size, mesh.tp_size};
+  if (man.mesh != here) {
+    // Cross-mesh resume: a v3 generation carries the full manifest, so the
+    // resharding loader can gather-by-name and re-slice for this mesh.
+    // Pre-manifest metadata records only the factorization — nothing to
+    // reshard from, and that is a metadata limitation, not a mesh one.
+    if (man.version >= 3) {
+      reshard::load_resharded(prefix, m);
+      return;
+    }
+    throw reshard::ManifestIncompleteError(
+        "sharded checkpoint: mesh mismatch — checkpoint was written with "
+        "mesh " + man.mesh.str() + " but this run is " + here.str() +
+        ", and v" + std::to_string(man.version) +
+        " metadata carries no manifest to reshard from (re-save on the "
+        "original mesh to upgrade to v3)");
+  }
+  // Same mesh: this rank's own file is all it reads.
+  const std::string path = reshard::rank_file(prefix, mesh.global_rank());
+  const model::CheckpointData data = model::read_checkpoint(path);
+  if (!data.contains(reshard::kOptStepRecord)) {
+    // v1-era / param-only file: weights restore read-only, optimizer cold.
+    const std::vector<model::Param*> params = m.all_params();
+    model::check_params(data, params);
+    model::apply_params(data, params);
+    return;
+  }
+  reshard::check_rank_file(data, path, man);
+  reshard::apply_train_state(data, path, m, reshard::RngRule::kRequire);
+}
+
+}  // namespace orbit::core

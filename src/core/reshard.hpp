@@ -1,14 +1,21 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "model/checkpoint_io.hpp"
 #include "parallel/shard_desc.hpp"
 
 /// \file reshard.hpp
-/// `orbit::core::reshard` — the mesh-reshardable checkpoint loader.
+/// `orbit::core::reshard` — the sharded-generation format and the
+/// mesh-reshardable checkpoint loader. Everything that knows the on-disk
+/// format is here: rank-file naming, the one `<prefix>.meta` reader (v1,
+/// v2 and v3), the record vocabulary and the rank-file check. reshard.cpp
+/// also defines the `.latest` reader and the same-mesh loader declared in
+/// core/hs_checkpoint.hpp; both loaders end in one load transaction.
 ///
 /// At ORBIT's headline scale mean-time-to-failure is shorter than the job,
 /// and waiting for replacement capacity is the expensive failure mode: the
@@ -85,6 +92,11 @@ class CheckpointCorruptionError : public ReshardError {
   using ReshardError::ReshardError;
 };
 
+/// The one mesh-size rule: every factor ≥ 1 and ddp·fsdp·tp ≤ 2^20.
+/// `parse_mesh_shape` (and so `ORBIT_ELASTIC_SHAPES`) and the sidecar
+/// reader both enforce it, so no parsed mesh can overflow `world()`.
+inline constexpr std::int64_t kMaxMeshWorld = std::int64_t{1} << 20;
+
 /// A (DDP, FSDP, TP) mesh factorization — the unit the elastic supervisor
 /// shrinks over and the manifest records.
 struct MeshShape {
@@ -101,7 +113,7 @@ struct MeshShape {
   bool operator!=(const MeshShape& o) const { return !(*this == o); }
 };
 
-/// Parse "DxFxT" (each factor a positive integer, e.g. "2x2x1"). Throws
+/// Parse "DxFxT" (e.g. "2x2x1") under the mesh-size rule above. Throws
 /// std::invalid_argument naming the bad text.
 MeshShape parse_mesh_shape(const std::string& text);
 
@@ -111,8 +123,11 @@ MeshShape parse_mesh_shape(const std::string& text);
 /// variable and the offending value (strict orbit::env contract).
 std::vector<MeshShape> elastic_shapes_from_env();
 
-/// Everything the v3 `<prefix>.meta` sidecar records.
+/// Everything a `<prefix>.meta` sidecar records.
 struct Manifest {
+  /// Header version: v1 (param-only era) records only `mesh`, v2 (full
+  /// training state) adds `step`, v3 adds the rest.
+  int version = 3;
   MeshShape mesh;          ///< factorization the generation was saved on
   std::int64_t step = -1;  ///< committed step
   bool masters = false;    ///< `adamw.master:` records present (bf16 mode)
@@ -123,11 +138,46 @@ struct Manifest {
 /// Serialise a manifest to the v3 sidecar text (rank 0's save path).
 std::string manifest_text(const Manifest& m);
 
-/// Parse a `<prefix>.meta` sidecar. Throws ManifestIncompleteError for
-/// v1/v2-era files (mesh-welded, no manifest), CheckpointCorruptionError
-/// for anything structurally wrong in a v3 file, and std::runtime_error
-/// when the file is missing.
+/// The one sidecar reader: parse a v1, v2 or v3 `<prefix>.meta`. Throws
+/// CheckpointCorruptionError ("corrupt metadata ...") for anything
+/// structurally wrong, a mesh outside kMaxMeshWorld included, and
+/// std::runtime_error when the file is missing.
+Manifest read_sidecar(const std::string& path);
+
+/// `read_sidecar` plus the version check a cross-mesh load needs: a v1/v2
+/// sidecar (mesh-welded, no manifest) raises ManifestIncompleteError.
 Manifest read_manifest(const std::string& path);
+
+/// `<prefix>.rank<R>.bin`: global rank R's file of generation `prefix`.
+std::string rank_file(const std::string& prefix, int rank);
+
+/// Rank-file record vocabulary: every parameter under each of
+/// `record_families(masters)`, the scalars in `kScalarRecords` order
+/// (`adamw.t` comes from the optimizer's `export_state`), then `rng.data`
+/// when an RNG is attached.
+inline constexpr char kOptStepRecord[] = "adamw.t";
+inline constexpr char kStepRecord[] = "train.step";
+inline constexpr char kLrRecord[] = "train.lr";
+inline constexpr char kScaleRecord[] = "scaler.scale";
+inline constexpr char kStreakRecord[] = "scaler.streak";
+inline constexpr char kSkippedRecord[] = "scaler.skipped";
+inline constexpr char kRngRecord[] = "rng.data";
+inline constexpr std::array<const char*, 6> kScalarRecords = {
+    kOptStepRecord, kStepRecord,  kLrRecord,
+    kScaleRecord,   kStreakRecord, kSkippedRecord};
+
+/// Prefixes every parameter is saved under: values, Adam moments and (bf16
+/// mode) f32 masters. Each shards identically, so one gather serves all.
+std::vector<std::string> record_families(bool masters);
+
+/// The one rank-file check: every way `data` fails to be a member of
+/// generation `man` — no full-state marker (`adamw.t`, `train.step`), a
+/// step other than the committed one (a torn generation) and, against a
+/// v3 layout, any record missing or of the wrong size. Empty when
+/// consistent. Both loaders throw the first problem as
+/// CheckpointCorruptionError; `ckpt_inspect --verify` prints them all.
+std::vector<std::string> rank_file_problems(const model::CheckpointData& data,
+                                            const Manifest& man);
 
 /// Build the manifest describing `m`'s state at its current step.
 Manifest build_manifest(DistributedOrbitModel& m);

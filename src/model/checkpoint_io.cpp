@@ -336,14 +336,17 @@ void write_checkpoint(const std::string& path, const CheckpointData& data) {
   }
   const std::uint32_t crc = crc32(buf.data(), buf.size());
   buf.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  write_file_atomic(path, buf);
+}
 
-  // Atomic publish: the bytes become visible at `path` only via the final
-  // rename, so a crash mid-save leaves the previous checkpoint intact.
+void write_file_atomic(const std::string& path, const std::string& bytes) {
+  // The bytes become visible at `path` only via the final rename, so a
+  // crash mid-save leaves the previous file intact.
   const std::string tmp = path + ".tmp";
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     if (!os) throw std::runtime_error("checkpoint: cannot open " + tmp);
-    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     os.flush();
     if (!os) {
       os.close();

@@ -96,6 +96,12 @@ std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
 /// file at `path`, if any, is left intact).
 void write_checkpoint(const std::string& path, const CheckpointData& data);
 
+/// The atomic publish behind `write_checkpoint`: write `bytes` to
+/// `<path>.tmp`, flush, and std::rename over `path`. Also used for the
+/// sharded checkpoint's text sidecars. Throws std::runtime_error on IO
+/// failure, leaving any previous file at `path` intact.
+void write_file_atomic(const std::string& path, const std::string& bytes);
+
 /// Parse and fully validate a checkpoint file (v2 with CRC verification,
 /// or legacy v1) into a staging container. Throws std::runtime_error on
 /// any corruption — bad magic, truncated header or payload, trailing

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -53,6 +54,20 @@ Category category_of(const std::string& cat) {
   if (cat == "data") return Category::kData;
   if (cat == "resilience") return Category::kResilience;
   return Category::kOther;
+}
+
+/// `v` truncated to `Int`, or the documented parse error naming `field`
+/// when it does not fit: an out-of-range double-to-integer cast is
+/// undefined behaviour, and JSON numbers are unbounded.
+template <typename Int>
+Int checked_int(double v, const char* field) {
+  const double t = std::trunc(v);
+  if (!(t >= static_cast<double>(std::numeric_limits<Int>::min()) &&
+        t < static_cast<double>(std::numeric_limits<Int>::max()) + 1.0)) {
+    throw std::runtime_error(std::string("trace JSON: field '") + field +
+                             "' is out of range");
+  }
+  return static_cast<Int>(t);
 }
 
 }  // namespace
@@ -217,7 +232,7 @@ TraceSnapshot parse_chrome_json(const std::string& text) {
       throw std::runtime_error("trace JSON: event is not an object");
     }
     const std::string ph = str(ev.get("ph"));
-    const int tid = static_cast<int>(num(ev.get("tid")));
+    const int tid = checked_int<int>(num(ev.get("tid")), "tid");
     TrackAccum& acc = tracks[tid];
     acc.track.tid = tid;
     const json::Value* args = ev.get("args");
@@ -230,11 +245,12 @@ TraceSnapshot parse_chrome_json(const std::string& text) {
           acc.track.label = label->as_string();
         }
       } else if (name == "thread_sort_index" && args != nullptr) {
-        acc.track.sort_key = static_cast<int>(num(args->get("sort_index")));
+        acc.track.sort_key =
+            checked_int<int>(num(args->get("sort_index")), "sort_index");
         acc.seen_sort = true;
       } else if (name == "orbit_track_stats" && args != nullptr) {
-        acc.track.dropped =
-            static_cast<std::uint64_t>(num(args->get("dropped")));
+        acc.track.dropped = checked_int<std::uint64_t>(
+            num(args->get("dropped")), "dropped");
       }
       continue;
     }
@@ -250,24 +266,25 @@ TraceSnapshot parse_chrome_json(const std::string& text) {
       throw std::runtime_error("trace JSON: event '" + e.name +
                                "' missing numeric ts");
     }
-    e.ts_ns = static_cast<std::uint64_t>(std::llround(ts->as_number() * 1e3));
-    e.flow = static_cast<std::uint64_t>(num(ev.get("id")));
+    e.ts_ns =
+        checked_int<std::uint64_t>(std::round(ts->as_number() * 1e3), "ts");
+    e.flow = checked_int<std::uint64_t>(num(ev.get("id")), "id");
     if (args != nullptr && args->is_object()) {
       if (e.kind == EventKind::kCounter) {
         // Counter series: the first numeric arg; its key is the detail tag.
         for (const auto& [k, v] : args->as_object()) {
           if (v.is_number()) {
             e.detail = k == "value" ? "" : k;
-            e.value = static_cast<std::int64_t>(v.as_number());
+            e.value = checked_int<std::int64_t>(v.as_number(), k.c_str());
             break;
           }
         }
       } else {
         e.detail = str(args->get("axis"));
-        const json::Value* val = args->get("bytes");
-        if (val == nullptr) val = args->get("value");
+        const char* key = args->get("bytes") != nullptr ? "bytes" : "value";
+        const json::Value* val = args->get(key);
         if (val != nullptr && val->is_number()) {
-          e.value = static_cast<std::int64_t>(val->as_number());
+          e.value = checked_int<std::int64_t>(val->as_number(), key);
         }
       }
     }
@@ -280,7 +297,11 @@ TraceSnapshot parse_chrome_json(const std::string& text) {
     if (acc.track.label.empty()) {
       acc.track.label = "thread #" + std::to_string(tid);
     }
-    if (!acc.seen_sort) acc.track.sort_key = 100000 + tid;
+    // After every explicit sort index, saturating for a tid near INT_MAX.
+    constexpr int kLast = std::numeric_limits<int>::max();
+    if (!acc.seen_sort) {
+      acc.track.sort_key = tid > kLast - 100000 ? kLast : 100000 + tid;
+    }
     std::stable_sort(acc.track.events.begin(), acc.track.events.end(),
                      [](const TraceEvent& a, const TraceEvent& b) {
                        return a.ts_ns < b.ts_ns;

@@ -73,7 +73,8 @@ bool write_chrome_json(const TraceSnapshot& snap, const std::string& path,
                        std::string* err = nullptr);
 /// Parse a trace-event file ({"traceEvents": [...]} or a bare array).
 /// Throws std::runtime_error naming the first malformed construct (for
-/// malformed JSON, `orbit::json::parse`'s byte offset).
+/// malformed JSON, `orbit::json::parse`'s byte offset; for an integer field
+/// such as `tid` or `ts` that does not fit its type, the field's name).
 TraceSnapshot parse_chrome_json(const std::string& text);
 TraceSnapshot load_chrome_json(const std::string& path);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -99,6 +100,24 @@ TEST_F(FlightRecorderTest, ArmedDumpPassesValidationAndCarriesSections) {
   ASSERT_NE(env_obj->get("ORBIT_KERNELS"), nullptr);
   // Trace tail captured the serve scope.
   EXPECT_NE(slurp(*path).find("\"handle\""), std::string::npos);
+}
+
+TEST_F(FlightRecorderTest, BundleRecordsElasticAndChaosBeginKnobs) {
+  // A postmortem of an elastic run must name the shapes that drove it.
+  ::setenv("ORBIT_ELASTIC_SHAPES", "2x2x1,1x2x1", 1);
+  ::unsetenv("ORBIT_CHAOS_BEGIN");
+  const auto path = dump_postmortem("manual", "x");
+  ::unsetenv("ORBIT_ELASTIC_SHAPES");
+  ASSERT_TRUE(path.has_value());
+  EXPECT_FALSE(validate_bundle(*path).has_value())
+      << validate_bundle(*path).value_or("");
+  const json::Value b = json::parse(slurp(*path));
+  const json::Value* env_obj = b.get("env");
+  ASSERT_NE(env_obj, nullptr);
+  ASSERT_NE(env_obj->get("ORBIT_ELASTIC_SHAPES"), nullptr);
+  EXPECT_EQ(env_obj->get("ORBIT_ELASTIC_SHAPES")->as_string(), "2x2x1,1x2x1");
+  ASSERT_NE(env_obj->get("ORBIT_CHAOS_BEGIN"), nullptr);
+  EXPECT_TRUE(env_obj->get("ORBIT_CHAOS_BEGIN")->is_null());
 }
 
 TEST_F(FlightRecorderTest, NonFiniteGaugeIsNullInBundleAndJsonl) {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "trace/report.hpp"
@@ -216,6 +217,40 @@ TEST(Trace, ParseChromeJsonRejectsMalformedUnicodeEscape) {
   ASSERT_EQ(ok.tracks.size(), 1u);
   ASSERT_EQ(ok.tracks[0].events.size(), 1u);
   EXPECT_EQ(ok.tracks[0].events[0].name, "caf\xc3\xa9");
+}
+
+TEST(Trace, ParseChromeJsonRangeChecksIntegerFields) {
+  // Each integer field comes from an unbounded JSON number; one that does
+  // not fit its type is a parse error naming the field, never a cast.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"tid", R"([{"ph":"i","ts":1,"tid":1e300,"name":"a"}])"},
+      {"tid", R"([{"ph":"i","ts":1,"tid":-3e9,"name":"a"}])"},
+      {"sort_index",
+       R"([{"ph":"M","tid":1,"name":"thread_sort_index","args":{"sort_index":1e300}}])"},
+      {"dropped",
+       R"([{"ph":"M","tid":1,"name":"orbit_track_stats","args":{"dropped":-1}}])"},
+      {"ts", R"([{"ph":"i","ts":1e300,"tid":1,"name":"a"}])"},
+      {"ts", R"([{"ph":"i","ts":-5,"tid":1,"name":"a"}])"},
+      {"id", R"([{"ph":"s","ts":1,"tid":1,"id":1e300,"name":"a"}])"},
+      {"bytes",
+       R"([{"ph":"B","ts":1,"tid":1,"cat":"comm","name":"a","args":{"bytes":1e300}}])"},
+      {"q_depth", R"([{"ph":"C","ts":1,"tid":1,"name":"q","args":{"q_depth":-1e300}}])"},
+  };
+  for (const auto& [field, text] : cases) {
+    try {
+      (void)parse_chrome_json(text);
+      ADD_FAILURE() << "accepted out-of-range " << field << ": " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + field + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest values that do fit still parse.
+  const TraceSnapshot ok = parse_chrome_json(
+      R"([{"ph":"i","ts":1,"tid":2147483647,"name":"a","args":{"value":-9.2e18}}])");
+  ASSERT_EQ(ok.tracks.size(), 1u);
+  EXPECT_EQ(ok.tracks[0].tid, 2147483647);
 }
 
 TEST(Trace, ParseChromeJsonBoundsNestingDepth) {

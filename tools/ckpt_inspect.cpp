@@ -10,11 +10,12 @@
 ///       inventory and shard lengths for every rank of the recorded mesh —
 ///       without constructing a model. Exit 0 iff the generation is intact.
 ///
-/// Everything is derived from the v3 manifest (core/reshard.hpp): the mesh
-/// factorization, the step, and every rank's expected records with their
-/// shard lengths and per-member slice extents. Pre-manifest (v1/v2)
-/// metadata is reported as such and exits 1 — there is nothing to inspect
-/// beyond the factorization.
+/// The tool owns no format knowledge: `reshard::read_manifest` parses the
+/// sidecar and each rank file is judged by the loaders' own
+/// `reshard::rank_file_problems` (full-state marker, torn generation, and
+/// every record the manifest implies at its shard length). Pre-manifest
+/// (v1/v2) metadata, or a sidecar naming a mesh beyond the 2^20-rank
+/// bound, is reported as such and exits 1 — there is nothing to inspect.
 ///
 /// Exit codes: 0 intact / dumped, 1 problems found (corruption, legacy
 /// metadata, failed verification), 2 usage errors.
@@ -31,23 +32,20 @@
 
 namespace {
 
-using orbit::core::reshard::Manifest;
+namespace reshard = orbit::core::reshard;
+using reshard::Manifest;
+using reshard::rank_file;
 using orbit::json::escape;
 using orbit::parallel::ShardedSetDesc;
 using orbit::parallel::SliceDesc;
 
-std::string rank_file(const std::string& prefix, int rank) {
-  return prefix + ".rank" + std::to_string(rank) + ".bin";
-}
-
-std::string shape_str(const std::vector<std::int64_t>& shape,
-                      const char* open = "[", const char* close = "]") {
-  std::string s = open;
+std::string shape_str(const std::vector<std::int64_t>& shape) {
+  std::string s = "[";
   for (std::size_t i = 0; i < shape.size(); ++i) {
     if (i != 0) s += ",";
     s += std::to_string(shape[i]);
   }
-  return s + close;
+  return s + "]";
 }
 
 /// Result of offline-checking one rank file against the manifest.
@@ -59,79 +57,30 @@ struct RankStatus {
   std::vector<std::string> problems;  ///< empty iff the file verifies
 };
 
-/// Verify rank (d, f, t)'s file: CRC/structure via read_checkpoint, step
-/// consistency, and — per the manifest — every sharded-set record (values
-/// + moments + masters) at its shard length, every replicated param at its
-/// full size, the training scalars, and the RNG lineage when recorded.
-RankStatus check_rank(const std::string& prefix, const Manifest& man, int d,
-                      int f, int t) {
+/// Check global rank `rank`'s file: CRC/structure via read_checkpoint,
+/// then the loaders' own `reshard::rank_file_problems`.
+RankStatus check_rank(const std::string& prefix, const Manifest& man,
+                      int rank) {
   RankStatus st;
-  st.d = d;
-  st.f = f;
-  st.t = t;
-  st.rank = (d * man.mesh.fsdp + f) * man.mesh.tp + t;
-  const std::string path = rank_file(prefix, st.rank);
-  orbit::model::CheckpointData data;
+  st.rank = rank;  // = (d·F + f)·T + t
+  st.t = rank % man.mesh.tp;
+  st.f = rank / man.mesh.tp % man.mesh.fsdp;
+  st.d = rank / (man.mesh.tp * man.mesh.fsdp);
   try {
-    data = orbit::model::read_checkpoint(path);
+    const orbit::model::CheckpointData data =
+        orbit::model::read_checkpoint(rank_file(prefix, st.rank));
+    st.crc_ok = true;
+    st.records = data.size();
+    st.problems = reshard::rank_file_problems(data, man);
   } catch (const std::exception& e) {
     st.problems.push_back(std::string(e.what()));
-    return st;
   }
-  st.crc_ok = true;
-  st.records = data.size();
-
-  const auto expect = [&](const std::string& name, std::int64_t numel) {
-    if (!data.contains(name)) {
-      st.problems.push_back("missing record \"" + name + "\"");
-      return;
-    }
-    if (numel < 0) return;  // presence-only (scalars, bytes)
-    try {
-      const std::int64_t got = data.tensor(name).numel();
-      if (got != numel) {
-        st.problems.push_back("record \"" + name + "\" has " +
-                              std::to_string(got) + " elements, manifest implies " +
-                              std::to_string(numel));
-      }
-    } catch (const std::exception& e) {
-      st.problems.push_back(std::string(e.what()));
-    }
-  };
-
-  if (data.contains("train.step")) {
-    const std::int64_t step = data.i64("train.step");
-    if (step != man.step) {
-      st.problems.push_back("file records step " + std::to_string(step) +
-                            " but the manifest committed step " +
-                            std::to_string(man.step) + " (torn generation)");
-    }
-  } else {
-    st.problems.push_back("missing record \"train.step\"");
-  }
-  std::vector<std::string> families = {"", "adamw.m:", "adamw.v:"};
-  if (man.masters) families.push_back("adamw.master:");
-  for (const ShardedSetDesc& set : man.layout.sets) {
-    const std::int64_t n = set.shard_size(man.mesh.tp, man.mesh.fsdp);
-    for (const std::string& fam : families) {
-      expect(fam + set.record_name(), n);
-    }
-  }
-  for (const orbit::parallel::ReplicatedDesc& rep : man.layout.replicated) {
-    std::int64_t n = 1;
-    for (std::int64_t dim : rep.shape) n *= dim;
-    for (const std::string& fam : families) expect(fam + rep.name, n);
-  }
-  for (const char* scalar : {"adamw.t", "train.lr", "scaler.scale",
-                             "scaler.streak", "scaler.skipped"}) {
-    expect(scalar, -1);
-  }
-  if (man.rng) expect("rng.data", -1);
   return st;
 }
 
 void print_text(const std::string& prefix, const Manifest& man,
-                const std::vector<RankStatus>& ranks, bool verify) {
+                const std::vector<RankStatus>& ranks, bool verify,
+                bool intact) {
   std::printf("generation %s\n", prefix.c_str());
   std::printf("mesh %s (world %d)\n", man.mesh.str().c_str(),
               man.mesh.world());
@@ -170,11 +119,7 @@ void print_text(const std::string& prefix, const Manifest& man,
       std::printf("    problem: %s\n", p.c_str());
     }
   }
-  if (verify) {
-    bool ok = true;
-    for (const RankStatus& st : ranks) ok = ok && st.problems.empty();
-    std::printf("verification %s\n", ok ? "PASSED" : "FAILED");
-  }
+  if (verify) std::printf("verification %s\n", intact ? "PASSED" : "FAILED");
 }
 
 void print_json(const std::string& prefix, const Manifest& man,
@@ -250,7 +195,7 @@ int main(int argc, char** argv) {
 
   Manifest man;
   try {
-    man = orbit::core::reshard::read_manifest(prefix + ".meta");
+    man = reshard::read_manifest(prefix + ".meta");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ckpt_inspect: %s\n", e.what());
     return 1;
@@ -260,23 +205,16 @@ int main(int argc, char** argv) {
   // mesh. The plain dump still reads each file once so the CRC column is
   // real, but only the verify pass fails the exit code on inventory.
   std::vector<RankStatus> ranks;
-  for (int d = 0; d < man.mesh.ddp; ++d) {
-    for (int f = 0; f < man.mesh.fsdp; ++f) {
-      for (int t = 0; t < man.mesh.tp; ++t) {
-        ranks.push_back(check_rank(prefix, man, d, f, t));
-      }
-    }
+  bool intact = true;
+  for (int r = 0; r < man.mesh.world(); ++r) {
+    ranks.push_back(check_rank(prefix, man, r));
+    intact = intact && ranks.back().problems.empty();
   }
 
   if (json) {
     print_json(prefix, man, ranks);
   } else {
-    print_text(prefix, man, ranks, verify);
+    print_text(prefix, man, ranks, verify, intact);
   }
-  if (verify) {
-    for (const RankStatus& st : ranks) {
-      if (!st.problems.empty()) return 1;
-    }
-  }
-  return 0;
+  return verify && !intact ? 1 : 0;
 }
