@@ -91,7 +91,7 @@ void run_panel(std::int64_t channels, const char* paper_band,
 /// (p-1)/p — every rank's collectives spend most of their span blocked on
 /// peers regardless of overlap — so the overlap win shows up in the
 /// *exposed* fraction: comm time not covered by an async op's in-flight
-/// (issue -> wait) window. Sync collectives are always fully exposed.
+/// (issue -> wait) window. Blocking collectives are always fully exposed.
 struct CommFractions {
   double raw = 0.0;
   double exposed = 0.0;
@@ -101,12 +101,10 @@ struct CommFractions {
 /// Hybrid-STOP training loop on a simulated tp x fsdp x ddp mesh and
 /// derive the compute/comm split from the merged span timeline (the same
 /// pipeline `trace_report --capture` uses).
-CommFractions traced_comm_fraction(int tp, int fsdp, int ddp, int steps,
-                                   bool async_comm) {
-  comm::async::ScopedAsync mode(async_comm);
+CommFractions traced_comm_fraction(int tp, int fsdp, int ddp, int steps) {
   // Large enough per-block compute that comm/compute overlap has work to
   // hide behind (a pure toy config is rendezvous-dominated and saturates
-  // the comm fraction near 100% in both modes).
+  // the comm fraction near 100%).
   model::VitConfig cfg = model::tiny_test();
   cfg.embed = 64;
   cfg.layers = 2;
@@ -147,28 +145,19 @@ int main(int argc, char** argv) {
   run_panel(91, "41-85%", report);
 
   bench::section("trace-derived comm fraction (simulated 2x2x2 mesh)");
-  // Same traced training loop twice: synchronous baseline vs nonblocking
-  // collectives with comm/compute overlap (ORBIT_COMM_ASYNC). The training
-  // results are bitwise identical (tests/comm/test_async.cpp asserts so);
-  // only the *exposed* comm fraction of the span timeline should move —
+  // The engines issue grad reduce-scatters/all-reduces nonblocking during
+  // backward, so the *exposed* comm fraction of the span timeline is the
   // comm time an async op's in-flight window could not hide. (The raw
-  // fraction barely moves on the time-sliced simulator: blocked-on-peers
-  // time is structural at (p-1)/p whether or not issue is nonblocking.)
-  const CommFractions sync_frac =
-      traced_comm_fraction(2, 2, 2, /*steps=*/2, /*async_comm=*/false);
-  const CommFractions async_frac =
-      traced_comm_fraction(2, 2, 2, /*steps=*/2, /*async_comm=*/true);
+  // fraction also counts time blocked on peers, which overlap cannot
+  // hide on the simulator.)
+  const CommFractions frac = traced_comm_fraction(2, 2, 2, /*steps=*/2);
   std::printf("mean comm fraction over 8 simulated ranks (raw / exposed):\n"
-              "  sync baseline          : %5.1f%% / %5.1f%%\n"
-              "  ORBIT_COMM_ASYNC=1     : %5.1f%% / %5.1f%%  "
-              "(overlapped backward)\n"
+              "  overlapped backward    : %5.1f%% / %5.1f%%\n"
               "(real collectives on a toy model — the simulated cluster is\n"
               "comm-dominated by design; see `trace_report --capture` for\n"
               "the full per-rank / per-axis breakdown)\n",
-              sync_frac.raw * 100.0, sync_frac.exposed * 100.0,
-              async_frac.raw * 100.0, async_frac.exposed * 100.0);
-  report.metric("trace_comm_fraction_2x2x2", sync_frac.exposed);
-  report.metric("trace_comm_fraction_2x2x2_async", async_frac.exposed);
+              frac.raw * 100.0, frac.exposed * 100.0);
+  report.metric("trace_comm_fraction_2x2x2", frac.exposed);
 
   std::printf("\nShape check: efficiency decays smoothly with GPU count,\n"
               "stays within the paper's band for every model size, and the\n"

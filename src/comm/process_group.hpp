@@ -48,30 +48,6 @@ enum class ReduceOp { kSum, kAvg, kMax };
 
 struct GroupState;  // shared-state implementation detail (world.cpp)
 
-namespace async {
-
-/// `ORBIT_COMM_ASYNC` knob (strict parse via orbit::env, read once on first
-/// use). It only decides where the training engines wait. Default off:
-/// engines wait at each call (the blocking baseline schedule); on, they
-/// issue `*_async` collectives and drain them later.
-/// `set_enabled` overrides the environment for the rest of the process.
-bool enabled();
-void set_enabled(bool on);
-
-/// RAII override for tests and benches: applies `on`, restores on exit.
-class ScopedAsync {
- public:
-  explicit ScopedAsync(bool on);
-  ~ScopedAsync();
-  ScopedAsync(const ScopedAsync&) = delete;
-  ScopedAsync& operator=(const ScopedAsync&) = delete;
-
- private:
-  bool old_;
-};
-
-}  // namespace async
-
 /// Completion handle of one in-flight asynchronous collective.
 ///
 /// Issue (`ProcessGroup::*_async`) is nonblocking: it records the op's

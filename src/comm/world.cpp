@@ -18,7 +18,6 @@
 #include "comm/check.hpp"
 #include "comm/fault.hpp"
 #include "comm/process_group.hpp"
-#include "env/env.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/registry.hpp"
 #include "trace/trace.hpp"
@@ -87,39 +86,6 @@ struct BlockedGuard {
 };
 
 }  // namespace
-
-namespace async {
-
-namespace {
-
-/// -1 unseeded, else 0/1. Seeded from ORBIT_COMM_ASYNC on first query via
-/// the strict env gateway; set_enabled overrides for the process lifetime.
-std::atomic<int>& async_flag() {
-  static std::atomic<int> flag{-1};
-  return flag;
-}
-
-}  // namespace
-
-bool enabled() {
-  std::atomic<int>& f = async_flag();
-  int v = f.load(std::memory_order_acquire);
-  if (v < 0) {
-    v = env::flag_or("ORBIT_COMM_ASYNC", false) ? 1 : 0;
-    f.store(v, std::memory_order_release);
-  }
-  return v == 1;
-}
-
-void set_enabled(bool on) {
-  async_flag().store(on ? 1 : 0, std::memory_order_release);
-}
-
-ScopedAsync::ScopedAsync(bool on) : old_(enabled()) { set_enabled(on); }
-
-ScopedAsync::~ScopedAsync() { set_enabled(old_); }
-
-}  // namespace async
 
 /// One collective on a group, keyed by its ticket: the per-rank issue count.
 /// Every member must issue the same sequence, so ticket k on every rank

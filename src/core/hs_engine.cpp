@@ -16,17 +16,12 @@ void sync_mesh_grads(const HybridMesh& mesh,
                      const std::vector<model::Param*>& shard,
                      const std::vector<model::Param*>& replicated) {
   ORBIT_TRACE_SPAN("hs.sync_grads");
-  const bool async = comm::async::enabled();
   std::vector<comm::CommHandle> pending;
   const auto average = [&](const comm::ProcessGroup& group,
                            const std::vector<model::Param*>& params) {
     if (!spans_ranks(group)) return;
     for (model::Param* p : params) {
-      if (async) {
-        pending.push_back(group.all_reduce_async(p->grad, comm::ReduceOp::kAvg));
-      } else {
-        group.all_reduce(p->grad, comm::ReduceOp::kAvg);
-      }
+      pending.push_back(group.all_reduce_async(p->grad, comm::ReduceOp::kAvg));
     }
   };
   average(mesh.ddp_group, shard);

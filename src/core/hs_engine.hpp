@@ -22,9 +22,8 @@ namespace orbit::core {
 /// every rank holds whole.
 
 /// "hs.sync_grads": average `shard` grads over the DDP replicas and
-/// `replicated` grads over the data group. Under ORBIT_COMM_ASYNC every
-/// all-reduce is issued up front and drained in issue order, bitwise
-/// identical to the blocking loop.
+/// `replicated` grads over the data group. Every all-reduce is issued up
+/// front and drained in issue order before this returns.
 void sync_mesh_grads(const HybridMesh& mesh,
                      const std::vector<model::Param*>& shard,
                      const std::vector<model::Param*>& replicated);

@@ -95,15 +95,11 @@ void HsShardedSet::reduce_scatter_grads() {
   wait_grads();
   Tensor flat = set_.pack_grads();
   shard_.grad = Tensor::empty({set_.shard_size()});
-  if (comm::async::enabled()) {
-    // `flat` is a packed copy — zeroing the materialised grads below is
-    // safe with the collective in flight; the handle keeps the flat
-    // storage alive until every FSDP peer has read it at wait time.
-    pending_rs_ = fsdp_.reduce_scatter_async(flat, shard_.grad,
-                                             comm::ReduceOp::kAvg);
-  } else {
-    fsdp_.reduce_scatter(flat, shard_.grad, comm::ReduceOp::kAvg);
-  }
+  // `flat` is a packed copy — zeroing the materialised grads below is safe
+  // with the collective in flight; the handle keeps the flat storage alive
+  // until every FSDP peer has read it at wait time.
+  pending_rs_ =
+      fsdp_.reduce_scatter_async(flat, shard_.grad, comm::ReduceOp::kAvg);
   for (model::Param* p : set_.params()) p->zero_grad();
 }
 
@@ -515,7 +511,7 @@ Tensor HsTower::backward(const Tensor& dy) {
   // Optimizer boundary: drain every in-flight grad reduce-scatter in issue
   // order (last block's sets first). Wait order must be identical on every
   // FSDP rank — completion is itself a rendezvous — which holds because
-  // all ranks run this same loop. No-op on the sync path.
+  // all ranks run this same loop.
   for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it) {
     (*it)->wait_grads();
   }

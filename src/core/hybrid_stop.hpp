@@ -62,13 +62,11 @@ class HsShardedSet {
 
   void gather();
   void release();
-  /// Under `comm::async::enabled()` this *issues* the grad reduce-scatter
-  /// nonblocking (shard().grad is defined only after wait_grads()); the
-  /// sync path completes in place as before.
+  /// Issues the grad reduce-scatter nonblocking; call `wait_grads()` before
+  /// reading `shard().grad` or destroying the set.
   void reduce_scatter_grads();
-  /// Complete a pending async reduce-scatter; no-op when none is in flight.
-  /// Callers must drain this before reading shard().grad — HsTower does it
-  /// at the end of backward(), in issue order.
+  /// Complete a pending reduce-scatter; no-op when none is in flight.
+  /// HsTower does it at the end of backward(), in issue order.
   void wait_grads();
   bool materialized() const { return materialized_; }
   model::Param& shard() { return shard_; }
@@ -79,7 +77,7 @@ class HsShardedSet {
   comm::ProcessGroup fsdp_;
   MemoryCounter* mem_;
   model::Param shard_;
-  comm::CommHandle pending_rs_;  ///< in-flight grad reduce-scatter (async)
+  comm::CommHandle pending_rs_;  ///< in-flight grad reduce-scatter
   bool materialized_ = false;
 };
 
@@ -97,6 +95,8 @@ class HsLinearPair {
                MemoryCounter* mem);
 
   Tensor forward(const Tensor& x);   // [..., in] replicated -> replicated
+  /// Issues both sets' grad reduce-scatters; call `wait_grads()` before
+  /// reading their `shard().grad` or destroying the sets.
   Tensor backward(const Tensor& dy);
   /// Drain this pair's pending grad reduce-scatters, in issue order.
   void wait_grads();
@@ -133,6 +133,8 @@ class HsAttention {
               MemoryCounter* mem);
 
   Tensor forward(const Tensor& x);
+  /// Issues both sets' grad reduce-scatters; call `wait_grads()` before
+  /// reading their `shard().grad` or destroying the sets.
   Tensor backward(const Tensor& dy);
   /// Drain pending grad reduce-scatters, in issue order.
   void wait_grads();
@@ -202,11 +204,11 @@ class HsTower {
           comm::ProcessGroup tp, comm::ProcessGroup fsdp, HsOptions opts);
 
   Tensor forward(const Tensor& x);
-  /// Under `comm::async::enabled()` each sharded set's grad reduce-scatter
-  /// is issued nonblocking as soon as that set's gradients are final while
-  /// backward continues into earlier blocks; every pending collective is
-  /// drained (issue order) before this returns, so shard grads are always
-  /// final at the optimizer boundary.
+  /// Each sharded set's grad reduce-scatter is issued nonblocking as soon
+  /// as that set's gradients are final while backward continues into
+  /// earlier blocks; every pending collective is drained (issue order)
+  /// before this returns, so shard grads are always final at the optimizer
+  /// boundary.
   Tensor backward(const Tensor& dy);
 
   std::vector<model::Param*> shard_params();

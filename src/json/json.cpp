@@ -197,33 +197,18 @@ class Parser {
         case 'r': v.str_ += '\r'; break;
         case 't': v.str_ += '\t'; break;
         case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape");
-            }
+          unsigned code = hex4();
+          if (code >= 0xDC00 && code <= 0xDFFF) fail("unpaired surrogate");
+          if (code >= 0xD800 && code <= 0xDBFF) {
+            // A high surrogate must be followed by an escaped low one; the
+            // pair names one supplementary code point.
+            if (s_.compare(pos_, 2, "\\u") != 0) fail("unpaired surrogate");
+            pos_ += 2;
+            const unsigned low = hex4();
+            if (low < 0xDC00 || low > 0xDFFF) fail("unpaired surrogate");
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
           }
-          // The writers only emit \u00XX control escapes; decode the BMP
-          // code point as UTF-8 so round-trips are lossless.
-          if (code < 0x80) {
-            v.str_ += static_cast<char>(code);
-          } else if (code < 0x800) {
-            v.str_ += static_cast<char>(0xC0 | (code >> 6));
-            v.str_ += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            v.str_ += static_cast<char>(0xE0 | (code >> 12));
-            v.str_ += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            v.str_ += static_cast<char>(0x80 | (code & 0x3F));
-          }
+          append_utf8(v.str_, code);
           break;
         }
         default:
@@ -231,6 +216,45 @@ class Parser {
       }
     }
     return v;
+  }
+
+  /// The four hex digits of a \u escape.
+  unsigned hex4() {
+    if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = s_[pos_++];
+      code <<= 4;
+      if (h >= '0' && h <= '9') {
+        code += static_cast<unsigned>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        code += static_cast<unsigned>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        code += static_cast<unsigned>(h - 'A' + 10);
+      } else {
+        fail("bad \\u escape");
+      }
+    }
+    return code;
+  }
+
+  /// Decode a code point as UTF-8 so \u round-trips are lossless.
+  static void append_utf8(std::string& out, unsigned code) {
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      out += static_cast<char>(0xC0 | (code >> 6));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      out += static_cast<char>(0xE0 | (code >> 12));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | (code >> 18));
+      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    }
   }
 
   Value number_value() {

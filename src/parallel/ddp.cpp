@@ -44,33 +44,22 @@ void DdpEngine::sync_grads() {
   ORBIT_TRACE_SPAN("ddp.sync_grads");
   buckets_used_ = 0;
   const auto buckets = bucket_params(params_, opts_.bucket_elems);
-  if (comm::async::enabled()) {
-    // Pipelined: pack and issue every bucket's all-reduce up front, then
-    // wait and unpack in issue order — bucket k+1's collective is in
-    // flight while bucket k is being waited/unpacked. Bucket boundaries
-    // and reduction math match the synchronous path exactly, so the
-    // resulting grads are bitwise identical.
-    std::vector<Tensor> flats;
-    std::vector<comm::CommHandle> handles;
-    flats.reserve(buckets.size());
-    handles.reserve(buckets.size());
-    for (const auto& bucket : buckets) {
-      flats.push_back(pack_bucket(bucket));
-      handles.push_back(
-          group_.all_reduce_async(flats.back(), comm::ReduceOp::kAvg));
-      ++buckets_used_;
-    }
-    for (std::size_t b = 0; b < handles.size(); ++b) {
-      handles[b].wait();
-      unpack_bucket(buckets[b], flats[b]);
-    }
-    return;
-  }
+  // Pipelined: pack and issue every bucket's all-reduce up front, then wait
+  // and unpack in issue order — bucket k+1's collective is in flight while
+  // bucket k is being waited/unpacked.
+  std::vector<Tensor> flats;
+  std::vector<comm::CommHandle> handles;
+  flats.reserve(buckets.size());
+  handles.reserve(buckets.size());
   for (const auto& bucket : buckets) {
-    Tensor flat = pack_bucket(bucket);
-    group_.all_reduce(flat, comm::ReduceOp::kAvg);
-    unpack_bucket(bucket, flat);
+    flats.push_back(pack_bucket(bucket));
+    handles.push_back(
+        group_.all_reduce_async(flats.back(), comm::ReduceOp::kAvg));
     ++buckets_used_;
+  }
+  for (std::size_t b = 0; b < handles.size(); ++b) {
+    handles[b].wait();
+    unpack_bucket(buckets[b], flats[b]);
   }
 }
 

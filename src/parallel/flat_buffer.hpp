@@ -13,8 +13,7 @@ namespace orbit::parallel {
 
 /// Group params into contiguous buckets of at most `bucket_elems` elements
 /// each; a param larger than the bucket size gets its own bucket. This is
-/// the coalescing layout beneath DdpEngine's bucketed all-reduce (sync and
-/// async paths bucket identically, so their reductions are bitwise equal).
+/// the coalescing layout beneath DdpEngine's bucketed all-reduce.
 std::vector<std::vector<model::Param*>> bucket_params(
     const std::vector<model::Param*>& params, std::int64_t bucket_elems);
 

@@ -71,15 +71,11 @@ void FsdpTower::reduce_scatter_grads(Unit& u) {
   ORBIT_TRACE_SPAN("fsdp.reduce_scatter_grads");
   Tensor flat = u.set->pack_grads();
   u.shard.grad = Tensor::empty({u.set->shard_size()});
-  if (comm::async::enabled()) {
-    // `flat` is a packed copy, so zeroing the layer grads below is safe
-    // while the collective is in flight; the handle keeps the flat storage
-    // alive until every peer has read it at wait time.
-    pending_grads_.push_back(group_.reduce_scatter_async(
-        flat, u.shard.grad, comm::ReduceOp::kAvg));
-  } else {
-    group_.reduce_scatter(flat, u.shard.grad, comm::ReduceOp::kAvg);
-  }
+  // `flat` is a packed copy, so zeroing the layer grads below is safe while
+  // the collective is in flight; the handle keeps the flat storage alive
+  // until every peer has read it at wait time.
+  pending_grads_.push_back(
+      group_.reduce_scatter_async(flat, u.shard.grad, comm::ReduceOp::kAvg));
   // Consumed: clear the layer grads so the next step starts clean.
   for (model::Param* p : u.set->params()) p->zero_grad();
 }
@@ -120,7 +116,7 @@ Tensor FsdpTower::backward(const Tensor& dy) {
     release(units_[0]);
   }
   // Optimizer boundary: drain every in-flight reduce-scatter (issue order)
-  // so shard grads are final when backward returns. No-op on the sync path.
+  // so shard grads are final when backward returns.
   comm::wait_all(pending_grads_);
   return d;
 }

@@ -37,12 +37,11 @@ class FsdpTower {
             FsdpOptions opts = {});
 
   Tensor forward(const Tensor& x);
-  /// Leaves averaged gradients in `shard_params()`' grad tensors. Under
-  /// `comm::async::enabled()` each unit's reduce-scatter is issued
-  /// nonblocking as soon as that unit's gradients are final and backward
-  /// continues into the next block; all pending collectives are waited at
-  /// the end of this call (the optimizer boundary of the tower contract),
-  /// so callers observe identical postconditions either way.
+  /// Leaves averaged gradients in `shard_params()`' grad tensors. Each
+  /// unit's reduce-scatter is issued nonblocking as soon as that unit's
+  /// gradients are final and backward continues into the next block; all
+  /// pending collectives are waited at the end of this call (the optimizer
+  /// boundary of the tower contract).
   Tensor backward(const Tensor& dy);
 
   /// The rank-local optimizer state: one flat shard param per unit.
@@ -73,8 +72,8 @@ class FsdpTower {
   comm::ProcessGroup group_;
   FsdpOptions opts_;
   std::vector<Unit> units_;
-  /// In-flight grad reduce-scatters (async path); drained at the end of
-  /// backward(). Each handle keeps its packed flat input alive until wait.
+  /// In-flight grad reduce-scatters, drained at the end of backward().
+  /// Each handle keeps its packed flat input alive until wait.
   std::vector<comm::CommHandle> pending_grads_;
   std::int64_t cur_elems_ = 0;
   std::int64_t peak_elems_ = 0;

@@ -24,10 +24,10 @@ constexpr std::size_t kTraceTailPerTrack = 128;
 const char* const kKnobs[] = {
     "ORBIT_CHAOS_BEGIN",   "ORBIT_CHAOS_EVERY",     "ORBIT_CHAOS_MAX_KILLS",
     "ORBIT_CHAOS_PROB",    "ORBIT_CHAOS_RANK",      "ORBIT_CHAOS_SEED",
-    "ORBIT_CHAOS_WORLD",   "ORBIT_COMM_ASYNC",      "ORBIT_COMM_CHECK",
-    "ORBIT_COMM_TIMEOUT_MS", "ORBIT_ELASTIC_SHAPES", "ORBIT_FAULT_RANK",
-    "ORBIT_FAULT_STEP",    "ORBIT_KERNELS",         "ORBIT_METRICS_OUT",
-    "ORBIT_METRICS_INTERVAL_MS", "ORBIT_TRACE",     "ORBIT_TRACE_BUFFER",
+    "ORBIT_CHAOS_WORLD",   "ORBIT_COMM_CHECK",      "ORBIT_COMM_TIMEOUT_MS",
+    "ORBIT_ELASTIC_SHAPES", "ORBIT_FAULT_RANK",     "ORBIT_FAULT_STEP",
+    "ORBIT_KERNELS",       "ORBIT_METRICS_OUT",     "ORBIT_METRICS_INTERVAL_MS",
+    "ORBIT_TRACE",         "ORBIT_TRACE_BUFFER",
 };
 
 struct RecorderState {

@@ -122,7 +122,7 @@ struct BreakdownReport {
   std::vector<TrackBreakdown> tracks;
   double mean_comm_fraction = 0.0;
   /// Mean of exposed_comm_fraction over rank tracks: the comm share that
-  /// was NOT hidden behind compute by nonblocking issue (ORBIT_COMM_ASYNC).
+  /// was NOT hidden behind compute by nonblocking issue.
   /// Equals mean_comm_fraction when no async collectives were traced.
   double mean_exposed_comm_fraction = 0.0;
   std::vector<AxisStat> axes_total;

@@ -1,5 +1,6 @@
 #include "train/trainer.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 #include "metrics/metrics.hpp"
@@ -118,10 +119,16 @@ void Trainer::resume_from(const std::string& path) {
   const double scale = data.f64("scaler.scale");
   const std::int64_t streak = data.i64("scaler.streak");
   const std::int64_t skipped = data.i64("scaler.skipped");
-  if (rng_ != nullptr && !data.contains("rng.data")) {
-    throw std::runtime_error(
-        "checkpoint: an RNG is attached but " + path +
-        " carries no rng.data record — it was saved without one");
+  // Decode into a copy so a damaged rng.data throws before any mutation.
+  std::optional<Rng> stream;
+  if (rng_ != nullptr) {
+    if (!data.contains("rng.data")) {
+      throw std::runtime_error(
+          "checkpoint: an RNG is attached but " + path +
+          " carries no rng.data record — it was saved without one");
+    }
+    stream = *rng_;
+    model::read_rng_state(data, "rng.data", *stream);
   }
 
   model::apply_params(data, opt_->params());
@@ -129,7 +136,7 @@ void Trainer::resume_from(const std::string& path) {
   opt_->set_lr(static_cast<float>(lr));
   scaler_.set_state(static_cast<float>(scale), streak, skipped);
   step_ = step;
-  if (rng_ != nullptr) model::read_rng_state(data, "rng.data", *rng_);
+  if (stream.has_value()) *rng_ = *stream;
   history_.clear();
 }
 

@@ -8,16 +8,14 @@
 
 #include "comm/fault.hpp"
 #include "comm/world.hpp"
-#include "core/hs_engine.hpp"
-#include "model/vit.hpp"
-#include "tensor/ops.hpp"
+#include "core/mesh.hpp"
 #include "trace/report.hpp"
 #include "trace/trace.hpp"
 
 /// Tests for the nonblocking collective engine: issue/wait semantics, the
 /// handle lifetime contract, in-flight fingerprint validation, failure
-/// attribution for ranks killed mid-flight, and bitwise equivalence of
-/// async-overlapped training with the synchronous baseline.
+/// attribution for ranks killed mid-flight, and bitwise equivalence of the
+/// engines' overlapped grad-sync pattern with the blocking calls.
 
 namespace orbit::comm {
 namespace {
@@ -253,76 +251,82 @@ TEST(AsyncChaos, RankKilledMidFlightIsRootCause) {
   fault::clear_plan();
 }
 
-model::VitConfig async_tower_cfg() {
-  model::VitConfig c = model::tiny_test();
-  c.embed = 16;
-  c.layers = 2;
-  c.heads = 4;
-  return c;
-}
+/// One rank's replay of the engines' grad-sync pattern on a 2x2x2 mesh:
+/// the tower's fsdp reduce-scatters (a packed copy of each layer's grads,
+/// whose source is zeroed right after issue), then `sync_mesh_grads`'s
+/// ddp/data all-reduces. `overlapped` issues every op with `*_async` and
+/// drains each phase with one late `wait_all`; otherwise each op is the
+/// blocking call. Returns every output buffer, concatenated.
+std::vector<float> replay_grad_sync(RankContext& ctx, bool overlapped) {
+  const core::HybridMesh mesh = core::HybridMesh::build(ctx, 2, 2, 2);
+  Rng rng(1000 + static_cast<std::uint64_t>(ctx.rank()));
+  // Odd shard lengths; randn values are non-integer, so the sums below
+  // round and their order shows in the bits.
+  const std::int64_t kShard[] = {7, 13, 5};
+  std::vector<Tensor> layer_grads, shard_grads;
+  for (std::int64_t n : kShard) {
+    layer_grads.push_back(Tensor::randn({n * mesh.fsdp_group.size()}, rng));
+    shard_grads.push_back(Tensor::empty({n}));
+  }
+  std::vector<Tensor> replicated = {Tensor::randn({9}, rng),
+                                    Tensor::randn({3}, rng)};
 
-/// Run `steps` training steps on a 2x2x2 Hybrid-STOP mesh and return each
-/// rank's final parameter bytes plus its probe output.
-void train_2x2x2(bool async_on, int steps, const Tensor& x_global,
-                 const Tensor& t_global, const Tensor& probe,
-                 std::vector<std::vector<float>>& param_state,
-                 std::vector<std::vector<float>>& probe_out) {
-  const int kWorld = 8;
-  model::VitConfig cfg = async_tower_cfg();
-  param_state.assign(kWorld, {});
-  probe_out.assign(kWorld, {});
-  async::ScopedAsync mode(async_on);
-  run_spmd(kWorld, [&](RankContext& ctx) {
-    core::HsEngineConfig ecfg;
-    ecfg.ddp = 2;
-    ecfg.fsdp = 2;
-    ecfg.tp = 2;
-    core::HsEngine engine(cfg, ctx, ecfg);
-    const int shard = engine.mesh().data_shard();
-    Tensor x = slice(x_global, 0, shard * 2, (shard + 1) * 2);
-    Tensor t = slice(t_global, 0, shard * 2, (shard + 1) * 2);
-    for (int i = 0; i < steps; ++i) engine.train_step_mse(x, t);
-    auto& ps = param_state[static_cast<std::size_t>(ctx.rank())];
-    for (model::Param* p : engine.all_params()) {
-      const float* d = p->value.data();
-      ps.insert(ps.end(), d, d + p->value.numel());
+  std::vector<CommHandle> pending;
+  for (std::size_t i = 0; i < layer_grads.size(); ++i) {
+    Tensor flat = layer_grads[i].clone();
+    if (overlapped) {
+      pending.push_back(mesh.fsdp_group.reduce_scatter_async(
+          flat, shard_grads[i], ReduceOp::kAvg));
+    } else {
+      mesh.fsdp_group.reduce_scatter(flat, shard_grads[i], ReduceOp::kAvg);
     }
-    Tensor y = engine.forward(probe);
-    auto& po = probe_out[static_cast<std::size_t>(ctx.rank())];
-    po.assign(y.data(), y.data() + y.numel());
-  });
+    layer_grads[i].fill_(0.0f);
+  }
+  wait_all(pending);
+
+  const auto average = [&](const ProcessGroup& g, std::vector<Tensor>& ts) {
+    for (Tensor& t : ts) {
+      if (overlapped) {
+        pending.push_back(g.all_reduce_async(t, ReduceOp::kAvg));
+      } else {
+        g.all_reduce(t, ReduceOp::kAvg);
+      }
+    }
+  };
+  average(mesh.ddp_group, shard_grads);
+  average(mesh.data_group, replicated);
+  wait_all(pending);
+
+  std::vector<float> out;
+  for (const std::vector<Tensor>* ts : {&shard_grads, &replicated}) {
+    for (const Tensor& t : *ts) {
+      out.insert(out.end(), t.data(), t.data() + t.numel());
+    }
+  }
+  return out;
 }
 
-TEST(AsyncTraining, BitwiseIdenticalToSyncOn2x2x2) {
-  // The acceptance bar for comm/compute overlap: same bytes in, same bytes
-  // out. Bucketing, reduction order, and wait placement are identical to
-  // the synchronous engines, so the final model state must match to the
-  // last bit — not within a tolerance.
-  model::VitConfig cfg = async_tower_cfg();
-  Rng drng(77);
-  Tensor x_global = Tensor::randn({8, 4, cfg.embed}, drng);
-  Tensor t_global = Tensor::randn({8, 4, cfg.embed}, drng);
-  Tensor probe = Tensor::randn({1, 4, cfg.embed}, drng);
-
-  std::vector<std::vector<float>> sync_params, sync_probe;
-  std::vector<std::vector<float>> async_params, async_probe;
-  train_2x2x2(/*async_on=*/false, /*steps=*/3, x_global, t_global, probe,
-              sync_params, sync_probe);
-  train_2x2x2(/*async_on=*/true, /*steps=*/3, x_global, t_global, probe,
-              async_params, async_probe);
-
-  for (int r = 0; r < 8; ++r) {
-    const auto& sp = sync_params[static_cast<std::size_t>(r)];
-    const auto& ap = async_params[static_cast<std::size_t>(r)];
-    ASSERT_EQ(sp.size(), ap.size()) << "rank " << r;
-    ASSERT_FALSE(sp.empty()) << "rank " << r;
-    EXPECT_EQ(std::memcmp(sp.data(), ap.data(), sp.size() * sizeof(float)), 0)
-        << "rank " << r << ": async training diverged from sync bitwise";
-    const auto& so = sync_probe[static_cast<std::size_t>(r)];
-    const auto& ao = async_probe[static_cast<std::size_t>(r)];
-    ASSERT_EQ(so.size(), ao.size());
-    EXPECT_EQ(std::memcmp(so.data(), ao.data(), so.size() * sizeof(float)), 0)
-        << "rank " << r;
+TEST(AsyncTraining, OverlappedGradSyncBitwiseEqualsBlockingOn2x2x2) {
+  // The engines' only grad-sync schedule issues every collective and waits
+  // late; the blocking calls are the reference. Same bytes in, same bytes
+  // out — the data group has 4 members, so a changed reduction order would
+  // change the rounding.
+  constexpr int kWorld = 8;
+  std::vector<std::vector<float>> blocking(kWorld), overlapped(kWorld);
+  for (bool async_on : {false, true}) {
+    auto& out = async_on ? overlapped : blocking;
+    run_spmd(kWorld, [&](RankContext& ctx) {
+      out[static_cast<std::size_t>(ctx.rank())] =
+          replay_grad_sync(ctx, async_on);
+    });
+  }
+  for (int r = 0; r < kWorld; ++r) {
+    const auto& b = blocking[static_cast<std::size_t>(r)];
+    const auto& o = overlapped[static_cast<std::size_t>(r)];
+    ASSERT_EQ(b.size(), o.size()) << "rank " << r;
+    ASSERT_EQ(b.size(), 7u + 13u + 5u + 9u + 3u) << "rank " << r;
+    EXPECT_EQ(std::memcmp(b.data(), o.data(), b.size() * sizeof(float)), 0)
+        << "rank " << r << ": overlapped grad sync diverged from blocking";
   }
 }
 

@@ -56,6 +56,7 @@ TEST_P(HsChainSweep, MatchesSerialChain) {
     Tensor y = pair.forward(x);
     EXPECT_LT(max_abs_diff(y, ref_y), 1e-4f);
     Tensor dx = pair.backward(dy);
+    pair.wait_grads();
     EXPECT_LT(max_abs_diff(dx, ref_dx), 1e-4f);
     // Memory accounting returns to zero after release.
     EXPECT_EQ(mem.current, 0);
@@ -100,6 +101,7 @@ TEST(HsChainGradients, MatchFiniteDifferences) {
                       mesh.fsdp_group, &opts, nullptr);
     pair.forward(x);
     Tensor dx = pair.backward(dy);
+    pair.wait_grads();
     if (ctx.rank() == 0) dist_dx = dx.clone();
   });
 

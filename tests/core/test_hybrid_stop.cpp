@@ -163,6 +163,7 @@ TEST(HsLinearPair, MatchesSerialMlpChain) {
       EXPECT_LT(max_abs_diff(y, ref_y), 1e-5f)
           << "fsdp=" << fsdp << " tp=" << tp;
       Tensor dx = pair.backward(dy);
+      pair.wait_grads();
       EXPECT_LT(max_abs_diff(dx, ref_dx), 1e-5f)
           << "fsdp=" << fsdp << " tp=" << tp;
     });

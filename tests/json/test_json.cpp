@@ -51,6 +51,33 @@ TEST(Json, UnicodeEscapesNeedFourHexDigits) {
             "A\xc3\xa9\xe2\x82\xac");
 }
 
+/// The reader's error for `text`, or "" when it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    parse(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(Json, SurrogatePairsDecodeToOneFourByteSequence) {
+  EXPECT_EQ(parse(R"("\ud83d\ude00")").as_string(), "\xf0\x9f\x98\x80");
+  EXPECT_EQ(parse(R"("a\uD800\uDC00b")").as_string(), "a\xf0\x90\x80\x80" "b");
+  EXPECT_EQ(parse(R"("\udbff\udfff")").as_string(), "\xf4\x8f\xbf\xbf");
+}
+
+TEST(Json, LoneOrReversedSurrogatesAreRejected) {
+  for (const char* bad : {R"("\ud83d")", R"("\ud83dx")", R"("\ud83d\n")",
+                          R"("\ud83d\u0041")", R"("\ude00")",
+                          R"("\ude00\ud83d")", R"("\ud83d\ud83d")"}) {
+    const std::string msg = parse_error(bad);
+    EXPECT_EQ(msg.rfind("json: ", 0), 0u) << bad << ": " << msg;
+    EXPECT_NE(msg.find("surrogate"), std::string::npos) << bad << ": " << msg;
+    EXPECT_NE(msg.find(" at byte "), std::string::npos) << bad << ": " << msg;
+  }
+}
+
 TEST(Json, NestingIsBoundedAtKMaxDepth) {
   const auto nested = [](int depth) {
     return std::string(static_cast<std::size_t>(depth), '[') +

@@ -224,6 +224,40 @@ TEST(TrainerCheckpoint, FailedResumeLeavesTrainerUntouched) {
   std::remove(ckpt.c_str());
 }
 
+TEST(TrainerCheckpoint, DamagedRngRecordLeavesTrainerUntouched) {
+  // A CRC-valid file whose rng.data is 8 bytes short: the RNG decode must
+  // fail before params, optimizer state, LR, scaler or step are applied.
+  const model::VitConfig cfg = micro();
+  const std::string ckpt = ::testing::TempDir() + "/trainer_short_rng.ckpt";
+  const std::string scratch = ::testing::TempDir() + "/trainer_rng_snap.bin";
+  {
+    model::OrbitModel donor_model(cfg);
+    Trainer donor(donor_model, full_config());
+    Rng rng(41);
+    donor.attach_rng(&rng);
+    for (int i = 0; i < 3; ++i) donor.train_step(draw_batch(cfg, rng));
+    donor.save_checkpoint(ckpt);
+  }
+  const model::CheckpointData saved = model::read_checkpoint(ckpt);
+  model::CheckpointData damaged;
+  for (model::CheckpointRecord rec : saved.records()) {
+    if (rec.name == "rng.data") rec.payload.resize(rec.payload.size() - 8);
+    damaged.add_record(std::move(rec));
+  }
+  model::write_checkpoint(ckpt, damaged);
+
+  model::OrbitModel m(cfg);
+  Trainer t(m, full_config());
+  Rng trng(43);
+  t.attach_rng(&trng);
+  t.train_step(draw_batch(cfg, trng));
+  const model::CheckpointData before = state_of(t, scratch);
+  EXPECT_THROW(t.resume_from(ckpt), std::runtime_error);
+  EXPECT_EQ(t.steps(), 1);
+  expect_bitwise_equal(before, state_of(t, scratch));
+  std::remove(ckpt.c_str());
+}
+
 TEST(TrainerCheckpoint, ResumeClearsLossHistory) {
   const model::VitConfig cfg = micro();
   const std::string ckpt = ::testing::TempDir() + "/trainer_hist.ckpt";

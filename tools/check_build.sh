@@ -22,7 +22,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # --no-tests=error: a leg whose filter matches nothing (e.g. a half-built
 # tree after an earlier leg failure) must FAIL, not silently pass.
 CTEST_ARGS=(--output-on-failure --no-tests=error "-j${JOBS}")
-LEGS=(asan tsan trace checkpoint elastic kernels resilience telemetry comm-async analyze tidy shellcheck)
+LEGS=(asan tsan trace checkpoint elastic kernels resilience telemetry analyze tidy shellcheck)
 
 JSON_PATH=""
 while [ "$#" -gt 0 ]; do
@@ -199,29 +199,6 @@ if [ -d build-tsan ]; then
   fi
 else
   RESULT[telemetry]="SKIP (TSan build unavailable)"
-fi
-
-echo "==== [comm-async] nonblocking collectives under ORBIT_COMM_ASYNC=1 (TSan) ===="
-# Overlap check: re-run the comm-labelled checker tests, the comm_async
-# suite (handle lifetime, in-flight validation, chaos kill mid-flight, and
-# the 2x2x2 async-vs-blocking bitwise-identity run), and the resilience and
-# elastic suites (kill-and-resume, chaos soak and reshard bitwise tests)
-# with the engines set to wait late. Blocking and async collectives share
-# one issue + completion engine; ORBIT_COMM_ASYNC=1 only moves where the
-# engines wait — the shared grad sync issues every all-reduce up front —
-# which widens the window between publishing staging pointers and the
-# completion rendezvous. Reuses the TSan build — that ordering is exactly
-# what TSan audits.
-if [ -d build-tsan ]; then
-  if (cd build-tsan && ORBIT_COMM_ASYNC=1 ctest --output-on-failure \
-        --no-tests=error "-j${JOBS}" -L "comm|comm_async|resilience|elastic"); then
-    RESULT[comm-async]="PASS"
-  else
-    RESULT[comm-async]="FAIL"
-    overall=1
-  fi
-else
-  RESULT[comm-async]="SKIP (TSan build unavailable)"
 fi
 
 echo "==== [analyze] orbit_lint project invariants ===="
